@@ -239,6 +239,19 @@ fn substrates(h: &Harness) {
     h.bench("substrates", "query_context_build", || {
         QueryContext::new(&graph, target)
     });
+    // A `kor gen`-tight query: the source at the median budget distance
+    // to the target, Δ = 1.5 × that distance. The context stops at Δ.
+    let full = QueryContext::new(&graph, target);
+    let mut sources: Vec<_> = graph
+        .nodes()
+        .filter(|&v| v != target && full.reaches_target(v))
+        .collect();
+    sources.sort_by(|&a, &b| full.bs_sigma(a).total_cmp(&full.bs_sigma(b)));
+    let source = sources[sources.len() / 2];
+    let radius = 1.5 * full.bs_sigma(source);
+    h.bench("substrates", "query_context_bounded", || {
+        QueryContext::within(&graph, target, radius, source)
+    });
     h.bench("substrates", "inverted_index_build", || {
         InvertedIndex::build(&graph)
     });

@@ -23,8 +23,8 @@ use crate::dominance::LabelStore;
 use crate::error::KorError;
 use crate::label::{Label, LabelArena, LabelSnapshot, NO_LABEL};
 use crate::labeling::{
-    acquire_context, acquire_reach, build_opt2, query_mask_table, scaler_for, AltBounds,
-    DeadlineTicker, Opt2, QItem, ScoreMode,
+    acquire_context, acquire_reach, build_opt2, opt2_keyword, query_mask_table, scaler_for,
+    AltBounds, DeadlineTicker, Opt2, QItem, ScoreMode,
 };
 use crate::params::BucketBoundParams;
 use crate::query::KorQuery;
@@ -183,24 +183,19 @@ impl<'a> BucketEngine<'a> {
         cache: Option<&PreprocessCache>,
     ) -> Self {
         let mut stats = SearchStats::default();
-        let ctx = acquire_context(graph, query.target, cache, &mut stats);
+        let opt2_kw = opt2_keyword(
+            graph,
+            index,
+            query,
+            params.use_opt2,
+            params.infrequent_threshold,
+        );
+        let ctx = acquire_context(graph, query, opt2_kw.is_some(), cache, &mut stats);
         let masks = query_mask_table(graph.node_count(), &query.keywords, index);
         let reach = (params.use_opt1 && !query.keywords.is_empty())
             .then(|| acquire_reach(graph, index, query, cache, &mut stats));
         let alt = AltBounds::acquire(graph, query.target, cache);
-        let opt2 = if params.use_opt2 {
-            build_opt2(
-                graph,
-                index,
-                query,
-                &ctx,
-                params.infrequent_threshold,
-                cache,
-                &mut stats,
-            )
-        } else {
-            None
-        };
+        let opt2 = opt2_kw.map(|kw| build_opt2(graph, index, query, &ctx, kw, cache, &mut stats));
         let mode = ScoreMode::Scaled(scaler_for(
             graph,
             params.anchor,

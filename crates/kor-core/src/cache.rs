@@ -11,7 +11,10 @@
 //! entries:
 //!
 //! * **query contexts** — the to-target `τ`/`σ` tree pair, keyed by the
-//!   target node (identical for every query ending at that target);
+//!   target node (identical for every query ending at that target). An
+//!   entry is grown only as far as its queries' budgets need (see
+//!   [`QueryContext`]'s radius) and extended in place of a rebuild when
+//!   a later query needs more;
 //! * **Opt-2 bound trees** — the "through an infrequent-keyword node,
 //!   then finish" lower-bound tree pair, keyed by `(target, keyword)`
 //!   (the seed set is exactly the keyword's postings weighted by the
@@ -27,7 +30,7 @@
 //!
 //! Entries are evicted least-recently-used once a map exceeds its
 //! capacity, bounding memory at roughly
-//! `capacity × 4 trees × node_count × sizeof(SptNode)`. The design
+//! `capacity × 4 trees × node_count × 20 bytes`. The design
 //! mirrors [`kor_apsp::CachedPairCosts`]: one `Mutex` around a memo
 //! table, shared by any number of worker threads, with the expensive
 //! tree construction performed *outside* the lock so concurrent misses
@@ -60,12 +63,20 @@ pub struct Opt2Trees {
 }
 
 /// Builds the Opt-2 tree pair for `kw` under `ctx`'s target.
+///
+/// The seeds are *every* posting's `τ`/`σ` completion, so `ctx` must be
+/// unbounded (radius `+inf`).
 pub(crate) fn build_opt2_trees(
     graph: &Graph,
     index: &InvertedIndex,
     ctx: &QueryContext,
     kw: KeywordId,
 ) -> Opt2Trees {
+    assert_eq!(
+        ctx.radius(),
+        f64::INFINITY,
+        "Opt-2 trees need an unbounded query context"
+    );
     let mut obj_seeds = Vec::new();
     let mut bud_seeds = Vec::new();
     for &l in index.postings(kw) {
@@ -83,36 +94,42 @@ pub(crate) fn build_opt2_trees(
 }
 
 /// Compact invalidation stamp for one cached tree family: the set of
-/// nodes the family's backward Dijkstras relaxed (one bit per node).
+/// nodes the family's Dijkstras settled (one bit per node) — the
+/// kernel's own settled bitsets, unioned.
 ///
-/// A mutation of edge `u → v` can change a backward tree only if the
-/// edge's *head* `v` is in the tree's relaxed set — otherwise the edge
-/// was never scanned, and (because mutation rebuilds preserve the
-/// relative CSR order of surviving edges) the tree a cold engine would
-/// build on the mutated graph scans the exact same edge sequence and is
-/// bit-for-bit identical. One stamp per target covers every cache
-/// family keyed by that target: the `τ`/`σ` context trees directly, and
-/// the Opt-2 bound trees because their reachable sets *and* their seed
-/// potentials both live inside the context's relaxed set (any node that
-/// reaches a seeded posting also reaches the target). The Opt-2 stamp
-/// still unions its own trees' reachability as a belt-and-braces check.
+/// A backward tree scans exactly the in-edges of its settled nodes, so a
+/// mutation of edge `u → v` can change it only if the edge's *head* `v`
+/// is settled. Otherwise the edge was never scanned, and (because
+/// mutation rebuilds preserve the relative CSR order of surviving edges)
+/// a cold build on the mutated graph scans the exact same edge sequence:
+/// it settles the same nodes with the same values *and* leaves the same
+/// frontier. That holds for trees stopped at a radius too, so a carried
+/// bounded context that is later extended on the mutated graph equals a
+/// cold build there. One stamp per target covers every cache family
+/// keyed by that target: the `τ`/`σ` context trees directly, and the
+/// Opt-2 bound trees (always built from an unbounded context) because
+/// their reachable sets *and* their seed potentials both live inside the
+/// context's settled set (any node that reaches a seeded posting also
+/// reaches the target). The Opt-2 stamp still unions its own trees'
+/// settled sets as a belt-and-braces check.
 #[derive(Debug)]
 pub struct TreeStamp {
     words: Vec<u64>,
 }
 
 impl TreeStamp {
-    fn for_nodes(n: usize) -> Self {
-        Self {
-            words: vec![0u64; n.div_ceil(64)],
+    /// The union of `trees`' settled sets (all over one graph).
+    fn of(trees: &[&Tree]) -> Self {
+        let mut words = trees[0].settled_words().to_vec();
+        for tree in &trees[1..] {
+            for (w, s) in words.iter_mut().zip(tree.settled_words()) {
+                *w |= s;
+            }
         }
+        Self { words }
     }
 
-    fn set(&mut self, v: NodeId) {
-        self.words[v.index() / 64] |= 1u64 << (v.index() % 64);
-    }
-
-    /// Whether node `v` is in the stamped (relaxed) set. Out-of-range
+    /// Whether node `v` is in the stamped (settled) set. Out-of-range
     /// ids are never in the set.
     pub fn contains(&self, v: NodeId) -> bool {
         self.words
@@ -133,29 +150,6 @@ impl TreeStamp {
     /// Whether no node is stamped.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Stamp of a query context: the union of its `τ` and `σ` trees'
-    /// relaxed sets (in practice identical — reachability does not
-    /// depend on the metric — but unioned rather than assumed).
-    fn from_context(ctx: &QueryContext, n: usize) -> Self {
-        let mut s = Self::for_nodes(n);
-        for i in 0..n as u32 {
-            let v = NodeId(i);
-            if ctx.reaches_target(v) || ctx.sigma_to_target(v).is_some() {
-                s.set(v);
-            }
-        }
-        s
-    }
-
-    fn union_tree(&mut self, tree: &Tree, n: usize) {
-        for i in 0..n as u32 {
-            let v = NodeId(i);
-            if tree.is_reachable(v) {
-                self.set(v);
-            }
-        }
     }
 }
 
@@ -184,6 +178,14 @@ pub struct CacheStats {
     pub ctx_hits: u64,
     /// Query-context lookups that had to build trees.
     pub ctx_misses: u64,
+    /// Query-context hits whose entry had to be grown to a larger radius
+    /// from its saved frontier (a subset of `ctx_hits`: no tree is
+    /// rebuilt, so `trees_built` is unchanged).
+    pub ctx_extends: u64,
+    /// Nodes settled by context builds and extensions, `τ` and `σ`
+    /// together. Divided by `ctx_misses + ctx_extends`, the size of the
+    /// average context build.
+    pub ctx_settled: u64,
     /// Opt-2 tree lookups answered from the cache.
     pub opt2_hits: u64,
     /// Opt-2 tree lookups that had to build trees.
@@ -349,63 +351,117 @@ impl PreprocessCache {
         self.capacity
     }
 
-    /// The to-target context for `target`, built on first use.
-    ///
-    /// Returns the shared context and whether this lookup was a hit.
-    /// Tree construction happens outside the cache lock; when two
-    /// threads miss the same target concurrently, the first insert wins
-    /// and the loser's build is discarded (both count as misses).
+    /// The complete (unbounded) to-target context for `target`, built
+    /// or extended on first use — [`Self::context_within`] at radius
+    /// `+inf`.
     ///
     /// # Panics
     ///
     /// If `graph` differs in shape from the graph this cache served
     /// first — one cache serves exactly one dataset.
     pub fn context(&self, graph: &Graph, target: NodeId) -> (Arc<QueryContext>, bool) {
-        {
-            let mut inner = self.inner.lock().unwrap();
-            inner.check_graph(graph);
-            let tick = inner.next_tick();
-            if let Some(slot) = inner.contexts.get_mut(&target) {
-                slot.last_used = tick;
-                let value = slot.value.clone();
-                inner.stats.ctx_hits += 1;
-                return (value, true);
-            }
-        }
-        let built = Arc::new(QueryContext::new(graph, target));
-        let stamp = Arc::new(TreeStamp::from_context(&built, graph.node_count()));
-        let mut inner = self.inner.lock().unwrap();
-        let tick = inner.next_tick();
-        inner.stats.ctx_misses += 1;
-        inner.stats.trees_built += 2;
-        let value = match inner.contexts.entry(target) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                // A concurrent miss inserted first; converge on its trees
-                // so every holder shares one allocation.
-                e.get_mut().last_used = tick;
-                e.get().value.clone()
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(Slot {
-                    value: built.clone(),
-                    stamp,
-                    last_used: tick,
-                });
-                built
-            }
-        };
-        let evicted = evict_lru(&mut inner.contexts, self.capacity);
-        inner.stats.evictions += evicted;
-        (value, false)
+        self.context_within(graph, target, f64::INFINITY, target)
     }
 
-    /// The Opt-2 bound-tree pair for `(target, kw)`, built on first use
-    /// from `ctx` (which must be the context for the same target).
+    /// A to-target context for `target` that serves a search with budget
+    /// `radius` from `source` (see [`QueryContext::serves`]).
+    ///
+    /// Returns the shared context and whether this lookup was a hit. An
+    /// entry too small for the query is a hit too, but is *extended*
+    /// copy-on-write from its saved frontier (counted in `ctx_extends`)
+    /// and the larger context replaces it; holders of the smaller one
+    /// keep it. Tree construction happens outside the cache lock; when
+    /// two threads build or extend the same target concurrently, the
+    /// first insert that serves the query wins and the other build is
+    /// discarded.
     ///
     /// # Panics
     ///
     /// If `graph` differs in shape from the graph this cache served
     /// first — one cache serves exactly one dataset.
+    pub fn context_within(
+        &self,
+        graph: &Graph,
+        target: NodeId,
+        radius: f64,
+        source: NodeId,
+    ) -> (Arc<QueryContext>, bool) {
+        let held = {
+            let mut inner = self.inner.lock().unwrap();
+            inner.check_graph(graph);
+            let tick = inner.next_tick();
+            match inner.contexts.get_mut(&target) {
+                Some(slot) => {
+                    slot.last_used = tick;
+                    let value = slot.value.clone();
+                    if value.serves(radius, source) {
+                        inner.stats.ctx_hits += 1;
+                        return (value, true);
+                    }
+                    Some(value)
+                }
+                None => None,
+            }
+        };
+        let extended = held.is_some();
+        let (built, settled_before) = match held {
+            Some(old) => {
+                let mut ctx = QueryContext::clone(&old);
+                let before = settled_nodes(&ctx);
+                ctx.grow(graph, radius, source);
+                (ctx, before)
+            }
+            None => (QueryContext::within(graph, target, radius, source), 0),
+        };
+        let settled = (settled_nodes(&built) - settled_before) as u64;
+        let stamp = Arc::new(TreeStamp::of(&built.trees()));
+        let built = Arc::new(built);
+        let mut inner = self.inner.lock().unwrap();
+        let tick = inner.next_tick();
+        if extended {
+            inner.stats.ctx_hits += 1;
+            inner.stats.ctx_extends += 1;
+        } else {
+            inner.stats.ctx_misses += 1;
+            inner.stats.trees_built += 2;
+        }
+        inner.stats.ctx_settled += settled;
+        let slot = Slot {
+            value: built.clone(),
+            stamp,
+            last_used: tick,
+        };
+        let value = match inner.contexts.entry(target) {
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                if e.get().value.serves(radius, source) {
+                    // A concurrent build landed first; converge on its
+                    // trees so every holder shares one allocation.
+                    e.get_mut().last_used = tick;
+                    e.get().value.clone()
+                } else {
+                    e.insert(slot);
+                    built
+                }
+            }
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(slot);
+                built
+            }
+        };
+        let evicted = evict_lru(&mut inner.contexts, self.capacity);
+        inner.stats.evictions += evicted;
+        (value, extended)
+    }
+
+    /// The Opt-2 bound-tree pair for `(target, kw)`, built on first use
+    /// from `ctx` (which must be the unbounded context for the same
+    /// target, as [`Self::context`] returns).
+    ///
+    /// # Panics
+    ///
+    /// If `graph` differs in shape from the graph this cache served
+    /// first — one cache serves exactly one dataset — or if a build is
+    /// needed and `ctx` is bounded.
     pub fn opt2_trees(
         &self,
         graph: &Graph,
@@ -426,13 +482,15 @@ impl PreprocessCache {
             }
         }
         let built = Arc::new(build_opt2_trees(graph, index, ctx, kw));
-        let n = graph.node_count();
         // The context stamp provably covers the Opt-2 dependencies (see
-        // `TreeStamp`); union the pair's own reachability anyway.
-        let mut stamp = TreeStamp::from_context(ctx, n);
-        stamp.union_tree(&built.obj_bound, n);
-        stamp.union_tree(&built.bud_bound, n);
-        let stamp = Arc::new(stamp);
+        // `TreeStamp`); union the pair's own settled sets anyway.
+        let [tau, sigma] = ctx.trees();
+        let stamp = Arc::new(TreeStamp::of(&[
+            tau,
+            sigma,
+            &built.obj_bound,
+            &built.bud_bound,
+        ]));
         let mut inner = self.inner.lock().unwrap();
         let tick = inner.next_tick();
         inner.stats.opt2_misses += 1;
@@ -482,10 +540,7 @@ impl PreprocessCache {
             }
         }
         let built = Arc::new(KeywordReach::build_tree(graph, postings));
-        let n = graph.node_count();
-        let mut stamp = TreeStamp::for_nodes(n);
-        stamp.union_tree(&built, n);
-        let stamp = Arc::new(stamp);
+        let stamp = Arc::new(TreeStamp::of(&[&built]));
         let mut inner = self.inner.lock().unwrap();
         let tick = inner.next_tick();
         inner.stats.reach_misses += 1;
@@ -679,6 +734,11 @@ impl PreprocessCache {
     }
 }
 
+/// Nodes settled in a context's two trees together.
+fn settled_nodes(ctx: &QueryContext) -> usize {
+    ctx.trees().iter().map(|t| t.settled_count()).sum()
+}
+
 /// Removes least-recently-used slots until `map` fits `capacity`;
 /// returns how many were evicted.
 fn evict_lru<K: std::hash::Hash + Eq + Copy, T>(
@@ -735,6 +795,43 @@ mod tests {
             assert_eq!(warm.bs_sigma(n).to_bits(), cold.bs_sigma(n).to_bits());
             assert_eq!(warm.os_sigma(n).to_bits(), cold.os_sigma(n).to_bits());
         }
+    }
+
+    #[test]
+    fn bounded_entries_serve_smaller_radii_and_extend_for_larger() {
+        let g = figure1();
+        let cache = PreprocessCache::new();
+        let (small, hit) = cache.context_within(&g, v(7), 2.0, v(7));
+        assert!(!hit);
+        assert_eq!(small.radius(), 2.0);
+        let (again, hit) = cache.context_within(&g, v(7), 1.0, v(7));
+        assert!(hit && Arc::ptr_eq(&small, &again), "a smaller radius hits");
+        let (grown, hit) = cache.context_within(&g, v(7), 5.0, v(0));
+        assert!(
+            hit && !Arc::ptr_eq(&small, &grown),
+            "extended copy-on-write"
+        );
+        assert_eq!((small.radius(), grown.radius()), (2.0, 5.0));
+        let s = cache.stats();
+        assert_eq!(
+            (s.ctx_hits, s.ctx_misses, s.ctx_extends, s.trees_built),
+            (2, 1, 1, 2)
+        );
+        assert_eq!(s.ctx_settled as usize, settled_nodes(&grown));
+        // The grown entry replaced the small one; the unbounded lookup
+        // extends it once more and matches a cold build bit for bit.
+        let (full, hit) = cache.context(&g, v(7));
+        assert!(hit && full.radius() == f64::INFINITY);
+        assert_eq!(cache.stats().ctx_extends, 2);
+        let cold = QueryContext::new(&g, v(7));
+        for n in g.nodes() {
+            assert_eq!(full.os_tau(n).to_bits(), cold.os_tau(n).to_bits());
+            assert_eq!(full.bs_tau(n).to_bits(), cold.bs_tau(n).to_bits());
+            assert_eq!(full.bs_sigma(n).to_bits(), cold.bs_sigma(n).to_bits());
+            assert_eq!(full.os_sigma(n).to_bits(), cold.os_sigma(n).to_bits());
+            assert_eq!(full.tau_route(n), cold.tau_route(n));
+        }
+        assert_eq!(cache.context_entries(), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use kor_apsp::{KeywordReach, Landmarks, QueryContext, TargetBounds};
-use kor_graph::{Graph, NodeId, QueryKeywords, Route};
+use kor_graph::{Graph, KeywordId, NodeId, QueryKeywords, Route};
 use kor_index::InvertedIndex;
 
 use crate::cache::{build_opt2_trees, Opt2Trees, PreprocessCache};
@@ -227,15 +227,28 @@ pub fn top_k_os_scaling_with_cache(
 
 /// Acquires the to-target [`QueryContext`] for `query`, from the cache
 /// when one is supplied, recording hit/miss/build counters in `stats`.
+///
+/// The context is bounded at the query's budget `Δ`: a label search
+/// reads `τ`/`σ` only inside the `Δ`-ball (every read outside it is for
+/// a label Algorithm 1 line 10 discards either way). `unbounded` asks
+/// for the full trees instead, as Optimization Strategy 2 seeds from
+/// every posting; a source outside the ball widens it the same way (see
+/// [`QueryContext::within`]).
 pub(crate) fn acquire_context(
     graph: &Graph,
-    target: NodeId,
+    query: &KorQuery,
+    unbounded: bool,
     cache: Option<&PreprocessCache>,
     stats: &mut SearchStats,
 ) -> Arc<QueryContext> {
+    let radius = if unbounded {
+        f64::INFINITY
+    } else {
+        query.budget
+    };
     match cache {
         Some(cache) => {
-            let (ctx, hit) = cache.context(graph, target);
+            let (ctx, hit) = cache.context_within(graph, query.target, radius, query.source);
             if hit {
                 stats.cache_hits += 1;
             } else {
@@ -246,7 +259,12 @@ pub(crate) fn acquire_context(
         }
         None => {
             stats.trees_built += 2;
-            Arc::new(QueryContext::new(graph, target))
+            Arc::new(QueryContext::within(
+                graph,
+                query.target,
+                radius,
+                query.source,
+            ))
         }
     }
 }
@@ -520,24 +538,13 @@ impl<'a> Engine<'a> {
         cache: Option<&PreprocessCache>,
     ) -> Self {
         let mut stats = SearchStats::default();
-        let ctx = acquire_context(graph, query.target, cache, &mut stats);
+        let opt2_kw = opt2_keyword(graph, index, query, cfg.use_opt2, cfg.infrequent_threshold);
+        let ctx = acquire_context(graph, query, opt2_kw.is_some(), cache, &mut stats);
         let masks = query_mask_table(graph.node_count(), &query.keywords, index);
         let reach = (cfg.use_opt1 && !query.keywords.is_empty())
             .then(|| acquire_reach(graph, index, query, cache, &mut stats));
         let alt = AltBounds::acquire(graph, query.target, cache);
-        let opt2 = if cfg.use_opt2 {
-            build_opt2(
-                graph,
-                index,
-                query,
-                &ctx,
-                cfg.infrequent_threshold,
-                cache,
-                &mut stats,
-            )
-        } else {
-            None
-        };
+        let opt2 = opt2_kw.map(|kw| build_opt2(graph, index, query, &ctx, kw, cache, &mut stats));
         let store = LabelStore::new(
             cfg.mode.dom_mode(),
             query.keywords.full_mask(),
@@ -881,26 +888,37 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Builds Optimization-Strategy-2 state when the least frequent query
-/// keyword is rare enough. The bound trees are pulled from the
-/// pre-processing cache when one is supplied (keyed by `(target, kw)` —
-/// the bit position is query-local and recomputed per call); the rarity
-/// gate itself is a cheap index lookup and always runs.
-#[allow(clippy::too_many_arguments)]
+/// The query keyword Optimization Strategy 2 bounds through, when the
+/// strategy is enabled: the least frequent one, if it is rare enough (a
+/// cheap index lookup).
+pub(crate) fn opt2_keyword(
+    graph: &Graph,
+    index: &InvertedIndex,
+    query: &KorQuery,
+    enabled: bool,
+    threshold: f64,
+) -> Option<KeywordId> {
+    if !enabled {
+        return None;
+    }
+    let (kw, df) = index.least_frequent(query.keywords.ids())?;
+    (graph.node_count() > 0 && (df as f64 / graph.node_count() as f64) < threshold).then_some(kw)
+}
+
+/// Builds Optimization-Strategy-2 state for `kw` (from [`opt2_keyword`]).
+/// The bound trees are pulled from the pre-processing cache when one is
+/// supplied (keyed by `(target, kw)` — the bit position is query-local
+/// and recomputed per call). `ctx` must be unbounded.
 pub(crate) fn build_opt2(
     graph: &Graph,
     index: &InvertedIndex,
     query: &KorQuery,
     ctx: &QueryContext,
-    threshold: f64,
+    kw: KeywordId,
     cache: Option<&PreprocessCache>,
     stats: &mut SearchStats,
-) -> Option<Opt2> {
-    let (kw, df) = index.least_frequent(query.keywords.ids())?;
-    if graph.node_count() == 0 || df as f64 / graph.node_count() as f64 >= threshold {
-        return None;
-    }
-    let bit = query.keywords.bit(kw)?;
+) -> Opt2 {
+    let bit = query.keywords.bit(kw).expect("kw is a query keyword");
     let trees = match cache {
         Some(cache) => {
             let (trees, hit) = cache.opt2_trees(graph, index, ctx, kw);
@@ -917,10 +935,10 @@ pub(crate) fn build_opt2(
             Arc::new(build_opt2_trees(graph, index, ctx, kw))
         }
     };
-    Some(Opt2 {
+    Opt2 {
         bit_mask: 1u64 << bit,
         trees,
-    })
+    }
 }
 
 #[cfg(test)]

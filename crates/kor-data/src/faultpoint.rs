@@ -11,17 +11,22 @@
 //! Points are armed either programmatically with [`arm`] (in-process
 //! tests) or through the `KOR_FAULTPOINT` environment variable
 //! (child-process and CI smoke tests): a comma-separated list of
-//! `name:action[:nth]` specs, e.g.
+//! `name:action[:nth][@id=ID]` specs, e.g.
 //!
 //! ```text
-//! KOR_FAULTPOINT=journal-append:torn:3,serve-request:panic:2
+//! KOR_FAULTPOINT=journal-append:torn:3,serve-request:panic@id=victim
 //! ```
 //!
 //! `nth` defaults to 1 and counts executions of that point
 //! process-wide; the fault fires on exactly the Nth hit and never
-//! again, so a retry after an injected error goes through. An unarmed
-//! process pays one mutex lock plus an empty-vec scan per point — the
-//! registry is not on any per-query path.
+//! again, so a retry after an injected error goes through. An `@id=ID`
+//! predicate narrows the spec to executions on behalf of one target —
+//! the request id at `serve-request` (a string id verbatim, any other
+//! id as its JSON text), the record epoch at `journal-append` and
+//! `journal-synced` — and `nth` then counts only those, so the fault
+//! lands on the intended request whatever the worker count or
+//! schedule. An unarmed process pays one mutex lock plus an empty-vec
+//! scan per point — the registry is not on any per-query path.
 
 use std::fmt;
 use std::io;
@@ -83,6 +88,8 @@ struct ArmedPoint {
     name: String,
     action: FaultAction,
     nth: u64,
+    /// Only executions on behalf of this target id count (`@id=…`).
+    id: Option<String>,
     hits: u64,
 }
 
@@ -105,6 +112,13 @@ fn registry() -> &'static Mutex<Vec<ArmedPoint>> {
 }
 
 fn parse_spec(spec: &str) -> Result<ArmedPoint, String> {
+    let (spec, id) = match spec.split_once('@') {
+        None => (spec, None),
+        Some((head, predicate)) => match predicate.strip_prefix("id=") {
+            Some(id) if !id.is_empty() => (head, Some(id.to_string())),
+            _ => return Err(format!("predicate must be id=ID, got {predicate:?}")),
+        },
+    };
     let mut parts = spec.split(':');
     let name = parts.next().unwrap_or_default();
     if name.is_empty() {
@@ -120,17 +134,18 @@ fn parse_spec(spec: &str) -> Result<ArmedPoint, String> {
             .ok_or_else(|| format!("nth must be a positive integer, got {n:?}"))?,
     };
     if parts.next().is_some() {
-        return Err("too many ':' fields (expected name:action[:nth])".into());
+        return Err("too many ':' fields (expected name:action[:nth][@id=ID])".into());
     }
     Ok(ArmedPoint {
         name: name.to_string(),
         action,
         nth,
+        id,
         hits: 0,
     })
 }
 
-/// Arms a fault point from a `name:action[:nth]` spec, exactly as the
+/// Arms a fault point from a `name:action[:nth][@id=ID]` spec, exactly as the
 /// [`ENV_VAR`] variable would. Used by in-process tests; multiple arms
 /// of the same name stack (each keeps its own hit counter).
 pub fn arm(spec: &str) -> Result<(), String> {
@@ -139,13 +154,14 @@ pub fn arm(spec: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Records one execution of the named point and reports the action to
-/// take, if this hit is the one an armed spec targets. Each armed spec
-/// fires exactly once, on its Nth hit.
-pub fn hit(name: &str) -> Option<FaultAction> {
+/// Records one execution of the named point on behalf of target `id`
+/// (if the point has one) and reports the action to take, if this hit is
+/// the one an armed spec targets. Each armed spec fires exactly once, on
+/// its Nth matching hit.
+pub fn hit(name: &str, id: Option<&str>) -> Option<FaultAction> {
     let mut points = registry().lock().unwrap();
     for p in points.iter_mut() {
-        if p.name == name {
+        if p.name == name && p.id.as_deref().is_none_or(|want| id == Some(want)) {
             p.hits += 1;
             if p.hits == p.nth {
                 return Some(p.action);
@@ -175,18 +191,36 @@ mod tests {
     #[test]
     fn unarmed_points_never_fire() {
         for _ in 0..100 {
-            assert_eq!(hit("test-unarmed-point"), None);
+            assert_eq!(hit("test-unarmed-point", None), None);
         }
     }
 
     #[test]
     fn fires_exactly_on_the_nth_hit_and_once() {
         arm("test-nth-point:io-error:3").unwrap();
-        assert_eq!(hit("test-nth-point"), None);
-        assert_eq!(hit("test-nth-point"), None);
-        assert_eq!(hit("test-nth-point"), Some(FaultAction::IoError));
+        assert_eq!(hit("test-nth-point", None), None);
+        assert_eq!(hit("test-nth-point", Some("any")), None);
+        assert_eq!(hit("test-nth-point", None), Some(FaultAction::IoError));
         // Fired once; later hits (a retry, say) pass.
-        assert_eq!(hit("test-nth-point"), None);
+        assert_eq!(hit("test-nth-point", None), None);
+    }
+
+    #[test]
+    fn id_predicate_fires_only_for_its_target() {
+        arm("test-id-point:panic:2@id=victim").unwrap();
+        // Other targets, and executions without one, neither fire nor
+        // count toward nth.
+        for _ in 0..5 {
+            assert_eq!(hit("test-id-point", Some("alive")), None);
+            assert_eq!(hit("test-id-point", None), None);
+        }
+        assert_eq!(hit("test-id-point", Some("victim")), None);
+        assert_eq!(hit("test-id-point", Some("alive")), None);
+        assert_eq!(
+            hit("test-id-point", Some("victim")),
+            Some(FaultAction::Panic)
+        );
+        assert_eq!(hit("test-id-point", Some("victim")), None);
     }
 
     #[test]
@@ -200,6 +234,10 @@ mod tests {
             "p:panic:-1",
             "p:panic:two",
             "p:panic:1:extra",
+            "p:panic@",
+            "p:panic@id=",
+            "p:panic@epoch=3",
+            "p:panic:0@id=x",
         ] {
             assert!(arm(bad).is_err(), "spec {bad:?} should be rejected");
         }

@@ -574,7 +574,8 @@ impl Journal {
             });
         }
         let record = encode_record(self.chain_crc, epoch, batch);
-        match faultpoint::hit("journal-append") {
+        let target = epoch.to_string();
+        match faultpoint::hit("journal-append", Some(&target)) {
             Some(FaultAction::IoError) => {
                 return Err(JournalError::Io(faultpoint::injected_error(
                     "journal-append",
@@ -597,7 +598,9 @@ impl Journal {
         }
         self.file.write_all(&record)?;
         self.file.sync_data()?;
-        if let Some(FaultAction::Crash | FaultAction::Torn) = faultpoint::hit("journal-synced") {
+        if let Some(FaultAction::Crash | FaultAction::Torn) =
+            faultpoint::hit("journal-synced", Some(&target))
+        {
             faultpoint::die("journal-synced");
         }
         self.chain_crc = crc32(

@@ -182,6 +182,33 @@ impl Graph {
         })
     }
 
+    /// The outgoing edges of `v` as parallel `(targets, objective,
+    /// budget)` slices — the shortest-path kernel's scan, free of
+    /// per-edge bounds checks.
+    #[inline]
+    pub fn out_slices(&self, v: NodeId) -> (&[NodeId], &[f64], &[f64]) {
+        let lo = self.out_offsets[v.index()] as usize;
+        let hi = self.out_offsets[v.index() + 1] as usize;
+        (
+            &self.out_targets[lo..hi],
+            &self.out_objective[lo..hi],
+            &self.out_budget[lo..hi],
+        )
+    }
+
+    /// The incoming edges of `v` as parallel `(sources, objective,
+    /// budget)` slices, in [`Self::in_edges`] order.
+    #[inline]
+    pub fn in_slices(&self, v: NodeId) -> (&[NodeId], &[f64], &[f64]) {
+        let lo = self.in_offsets[v.index()] as usize;
+        let hi = self.in_offsets[v.index() + 1] as usize;
+        (
+            &self.in_sources[lo..hi],
+            &self.in_objective[lo..hi],
+            &self.in_budget[lo..hi],
+        )
+    }
+
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {

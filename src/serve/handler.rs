@@ -119,8 +119,13 @@ pub fn handle(
 ) -> Result<JsonValue, WireError> {
     // Crash/panic injection for the robustness batteries: the panic
     // action exercises the per-request `catch_unwind` isolation in both
-    // I/O layers; crash exercises recovery from an unflushed death.
-    if let Some(action) = kor_data::faultpoint::hit("serve-request") {
+    // I/O layers; crash exercises recovery from an unflushed death. The
+    // request id lets a spec target one request (`@id=…`).
+    let id = match req.id.as_str() {
+        Some(id) => std::borrow::Cow::Borrowed(id),
+        None => std::borrow::Cow::Owned(req.id.render()),
+    };
+    if let Some(action) = kor_data::faultpoint::hit("serve-request", Some(&id)) {
         match action {
             FaultAction::Panic => panic!("fault point \"serve-request\": injected panic"),
             FaultAction::IoError => {
@@ -192,6 +197,8 @@ fn stats(ctx: &ServerContext, req: &Request) -> Result<JsonValue, WireError> {
                         ("opt2", d.engine().preprocess_cache().opt2_entries().into()),
                         ("ctx_hits", prep.ctx_hits.into()),
                         ("ctx_misses", prep.ctx_misses.into()),
+                        ("ctx_extends", prep.ctx_extends.into()),
+                        ("ctx_settled", prep.ctx_settled.into()),
                         ("opt2_hits", prep.opt2_hits.into()),
                         ("opt2_misses", prep.opt2_misses.into()),
                         ("reach_hits", prep.reach_hits.into()),
@@ -1262,6 +1269,8 @@ mod tests {
         // First query misses and builds the v7 context; the repeat hits.
         assert_eq!(prep.get("ctx_misses").and_then(JsonValue::as_u64), Some(1));
         assert_eq!(prep.get("ctx_hits").and_then(JsonValue::as_u64), Some(1));
+        assert_eq!(prep.get("ctx_extends").and_then(JsonValue::as_u64), Some(0));
+        assert!(prep.get("ctx_settled").and_then(JsonValue::as_u64) >= Some(2));
         assert_eq!(prep.get("contexts").and_then(JsonValue::as_u64), Some(1));
         assert!(prep.get("trees_built").and_then(JsonValue::as_u64) >= Some(2));
         assert!(prep.get("hit_rate").and_then(JsonValue::as_f64) > Some(0.0));

@@ -211,6 +211,89 @@ fn warm_answers_match_cold_across_random_mutation_sequences() {
     }
 }
 
+/// A context cached at a small radius is carried over a mutation whose
+/// head lies outside its ball, then extended on the mutated graph: the
+/// result must equal a cold build there, bit for bit on every node —
+/// the mutated edge included, since the extension scans it.
+#[test]
+fn carried_bounded_context_extends_like_a_cold_build() {
+    let mut extended = 0usize;
+    let mut shell_heads = 0usize;
+    for seed in 0..6u64 {
+        let graph = Arc::new(generate_world(&GenConfig::grid(12, 12, seed)).graph);
+        let mut rng = StdRng::seed_from_u64(0xB0A1 ^ seed);
+        let engine = KorEngine::new(Arc::clone(&graph));
+        let target = NodeId(rng.gen_range(0..graph.node_count() as u32));
+        let (ctx, _) = engine
+            .preprocess_cache()
+            .context_within(&graph, target, 3.0, target);
+        assert!(
+            ctx.radius().is_finite(),
+            "seed {seed}: the ball is the graph"
+        );
+        // Make an edge cheaper whose head the small ball never settled
+        // (the stamp avoids it, so the entry survives the mutation) and
+        // which is its tail's first hop toward the target (so the full
+        // trees change).
+        let stale = QueryContext::new(&graph, target);
+        let (u, w) = edge_pairs(&graph)
+            .into_iter()
+            .filter(|&(u, w)| {
+                !ctx.trees().iter().any(|t| t.is_settled(w))
+                    && stale.tau_route(u).is_some_and(|r| r.nodes()[1] == w)
+            })
+            .nth(rng.gen_range(0..8))
+            .expect("edges outside the ball");
+        let batch = [EdgeMutation::scale(u, w, 0.25, 0.25)];
+        let (mutated, report) = engine.apply_edge_mutations(&batch).expect("valid batch");
+        assert_eq!(
+            report.contexts_retained, 1,
+            "seed {seed}: entry not carried"
+        );
+
+        // A head that only `τ` settled (its shell beyond the `σ` ball)
+        // is in the stamp too: such a mutation evicts the entry.
+        let [tau, sigma] = ctx.trees();
+        if let Some((u, w)) = edge_pairs(&graph)
+            .into_iter()
+            .find(|&(_, w)| tau.is_settled(w) && !sigma.is_settled(w))
+        {
+            let shell = [EdgeMutation::scale(u, w, 0.25, 0.25)];
+            let (_, report) = engine.apply_edge_mutations(&shell).expect("valid batch");
+            assert_eq!(report.contexts_evicted, 1, "seed {seed}: τ-shell head kept");
+            shell_heads += 1;
+        }
+
+        let before = mutated.preprocess_stats();
+        let (grown, hit) = mutated.preprocess_cache().context(mutated.graph(), target);
+        let after = mutated.preprocess_stats();
+        assert!(hit, "seed {seed}: the carried entry must be reused");
+        assert_eq!(after.ctx_extends, before.ctx_extends + 1);
+        assert_eq!(
+            after.trees_built, before.trees_built,
+            "extended, not rebuilt"
+        );
+
+        let cold = QueryContext::new(mutated.graph(), target);
+        let mut differs_from_old = false;
+        for v in graph.nodes() {
+            for (g, c) in grown.trees().into_iter().zip(cold.trees()) {
+                let (a, b) = (g.node(v), c.node(v));
+                assert_eq!(
+                    (a.objective.to_bits(), a.budget.to_bits(), a.link),
+                    (b.objective.to_bits(), b.budget.to_bits(), b.link),
+                    "seed {seed}: {v} differs from a cold build"
+                );
+            }
+            differs_from_old |= cold.os_tau(v) != stale.os_tau(v);
+        }
+        extended += usize::from(differs_from_old);
+    }
+    // The mutations must matter, or a stale extension would pass too.
+    assert_eq!(extended, 6, "a mutation left the trees unchanged");
+    assert!(shell_heads > 0, "no seed had a τ-only settled head");
+}
+
 #[test]
 fn invalid_mutations_are_typed_errors_and_leave_the_engine_alone() {
     let graph = Arc::new(layered_dag(1));

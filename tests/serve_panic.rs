@@ -56,11 +56,13 @@ fn panic_battery(io: IoMode) {
     let (addr, handle) = start_server(io);
     let (mut conn, mut reader) = connect(addr);
 
-    // Arm a one-shot panic for the NEXT handled request, then pipeline
-    // three requests in one write: the poisoned one and two healthy
-    // neighbors. All three must be answered, in order, on this one
-    // connection — the panic costs exactly one response.
-    kor::data::faultpoint::arm("serve-request:panic").expect("arm fault point");
+    // Arm a one-shot panic for the request with id "victim", then
+    // pipeline three requests in one write: the poisoned one and two
+    // healthy neighbors. The id predicate makes the panic land on the
+    // victim however the two workers interleave the three. All three
+    // must be answered, in order, on this one connection — the panic
+    // costs exactly one response.
+    kor::data::faultpoint::arm("serve-request:panic@id=victim").expect("arm fault point");
     let query = r#"{"id":"victim","method":"query","params":{"dataset":"fig1","from":0,"to":7,"keywords":["t1","t2"],"budget":10,"algo":"os-scaling"}}"#;
     let health = r#"{"id":"alive","method":"health"}"#;
     conn.write_all(format!("{query}\n{health}\n{health}\n").as_bytes())
