@@ -22,7 +22,6 @@
 
 mod dense;
 mod keyword_reach;
-mod landmark;
 mod pair;
 mod partition;
 mod query;
@@ -30,7 +29,6 @@ mod tree;
 
 pub use dense::DenseApsp;
 pub use keyword_reach::KeywordReach;
-pub use landmark::{Landmarks, TargetBounds, DEFAULT_LANDMARKS};
 pub use pair::{CachedPairCosts, PairCosts, PathCost};
 pub use partition::{partition, PartitionConfig, PartitionedApsp};
 pub use query::QueryContext;

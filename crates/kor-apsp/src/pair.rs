@@ -68,13 +68,17 @@ impl<G: AsRef<Graph>> CachedPairCosts<G> {
         self.trees.lock().unwrap().len()
     }
 
+    /// The memoized forward tree for `(source, metric)`. A miss runs
+    /// Dijkstra *outside* the lock, so it never stalls lookups from
+    /// other threads; when two threads miss on the same key, the first
+    /// insert wins and both return that tree.
     fn tree(&self, source: NodeId, metric: Metric) -> Arc<Tree> {
         let key = (source, metric as u8);
-        let mut guard = self.trees.lock().unwrap();
-        guard
-            .entry(key)
-            .or_insert_with(|| Arc::new(forward_tree(self.graph.as_ref(), metric, source)))
-            .clone()
+        if let Some(tree) = self.trees.lock().unwrap().get(&key) {
+            return Arc::clone(tree);
+        }
+        let built = Arc::new(forward_tree(self.graph.as_ref(), metric, source));
+        Arc::clone(self.trees.lock().unwrap().entry(key).or_insert(built))
     }
 
     /// Rebinds the cache to a mutated graph, carrying over every tree
@@ -215,6 +219,61 @@ mod tests {
                 }
                 assert_eq!(warm.tau_path(i, j), cold.tau_path(i, j));
                 assert_eq!(warm.sigma(i, j), cold.sigma(i, j), "sigma {i}->{j}");
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_misses_converge_on_one_tree_per_key() {
+        use kor_graph::GraphBuilder;
+        use std::sync::Barrier;
+
+        // A 40×40 grid, so one build is long enough for racers to overlap.
+        let side = 40u32;
+        let mut b = GraphBuilder::new();
+        for _ in 0..side * side {
+            b.add_node(["x"]);
+        }
+        for i in 0..side * side {
+            let (x, y) = (i % side, i / side);
+            let w = f64::from(1 + (x * 7 + y * 3) % 5);
+            if x + 1 < side {
+                b.add_edge(NodeId(i), NodeId(i + 1), w, 6.0 - w).unwrap();
+                b.add_edge(NodeId(i + 1), NodeId(i), 6.0 - w, w).unwrap();
+            }
+            if y + 1 < side {
+                b.add_edge(NodeId(i), NodeId(i + side), w, w).unwrap();
+                b.add_edge(NodeId(i + side), NodeId(i), w, w).unwrap();
+            }
+        }
+        let g = b.build().unwrap();
+        let cached = CachedPairCosts::new(&g);
+        // Four threads miss on v0 together, four more on v3: the same
+        // key raced by several builders, and distinct keys in parallel.
+        let sources = [v(0), v(0), v(0), v(0), v(3), v(3), v(3), v(3)];
+        let barrier = Barrier::new(sources.len());
+        let trees: Vec<(NodeId, Arc<Tree>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = sources
+                .iter()
+                .map(|&s| {
+                    let (cached, barrier) = (&cached, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        (s, cached.tree(s, Metric::Objective))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(cached.cached_tree_count(), 2, "each key counted once");
+        for (s, tree) in &trees {
+            let memo = cached.tree(*s, Metric::Objective);
+            assert!(Arc::ptr_eq(tree, &memo), "every racer got the stored tree");
+            let fresh = forward_tree(&g, Metric::Objective, *s);
+            for n in g.nodes() {
+                assert_eq!(tree.objective(n).to_bits(), fresh.objective(n).to_bits());
+                assert_eq!(tree.budget(n).to_bits(), fresh.budget(n).to_bits());
+                assert_eq!(tree.walk_from_source(n), fresh.walk_from_source(n));
             }
         }
     }

@@ -16,7 +16,10 @@ use std::time::{Duration, Instant};
 
 use kor_apsp::{CachedPairCosts, DenseApsp, PairCosts, QueryContext};
 use kor_core::{BucketBoundParams, GreedyParams, KorEngine, KorQuery, OsScalingParams};
-use kor_data::{generate_roadnet, generate_workload, QuerySpec, RoadNetConfig, WorkloadConfig};
+use kor_data::{
+    generate_roadnet, generate_workload, generate_world, GenConfig, QuerySpec, RoadNetConfig,
+    WorkloadConfig,
+};
 use kor_graph::fixtures::figure1;
 use kor_graph::Graph;
 use kor_index::{DiskInvertedIndex, InvertedIndex};
@@ -232,6 +235,28 @@ fn optimization_ablation(h: &Harness) {
     });
 }
 
+/// Cold start: a fresh engine's first label search on a 64×64 generated
+/// grid. Everything the first query pays is timed: the index build plus
+/// every tree the search needs, with no warm cache to lean on.
+fn cold_start(h: &Harness) {
+    let world = generate_world(&GenConfig::grid(64, 64, 3));
+    let graph = &world.graph;
+    let canned = &world.query_sets[0].queries[0];
+    let q = KorQuery::new(
+        graph,
+        canned.source,
+        canned.target,
+        canned.keywords.clone(),
+        canned.budget,
+    )
+    .unwrap();
+    h.bench("engine", "first_search_fresh", || {
+        KorEngine::new(graph)
+            .os_scaling(&q, &OsScalingParams::default())
+            .unwrap()
+    });
+}
+
 /// Substrate benchmarks: pre-processing and index lookups (§3.1).
 fn substrates(h: &Harness) {
     let graph = bench_graph();
@@ -298,5 +323,6 @@ fn main() {
     topk_sweep(&h);
     scalability(&h);
     optimization_ablation(&h);
+    cold_start(&h);
     substrates(&h);
 }

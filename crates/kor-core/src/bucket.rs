@@ -24,7 +24,7 @@ use crate::error::KorError;
 use crate::label::{Label, LabelArena, LabelSnapshot, NO_LABEL};
 use crate::labeling::{
     acquire_context, acquire_reach, build_opt2, opt2_keyword, query_mask_table, scaler_for,
-    AltBounds, DeadlineTicker, Opt2, QItem, ScoreMode,
+    DeadlineTicker, Opt2, QItem, ScoreMode,
 };
 use crate::params::BucketBoundParams;
 use crate::query::KorQuery;
@@ -163,8 +163,6 @@ struct BucketEngine<'a> {
     masks: Vec<u64>,
     reach: Option<KeywordReach>,
     opt2: Option<Opt2>,
-    /// Landmark bounds; `max`-ed with σ at the budget pruning sites.
-    alt: Option<AltBounds>,
     arena: LabelArena,
     store: LabelStore,
     buckets: Buckets,
@@ -194,7 +192,6 @@ impl<'a> BucketEngine<'a> {
         let masks = query_mask_table(graph.node_count(), &query.keywords, index);
         let reach = (params.use_opt1 && !query.keywords.is_empty())
             .then(|| acquire_reach(graph, index, query, cache, &mut stats));
-        let alt = AltBounds::acquire(graph, query.target, cache);
         let opt2 = opt2_kw.map(|kw| build_opt2(graph, index, query, &ctx, kw, cache, &mut stats));
         let mode = ScoreMode::Scaled(scaler_for(
             graph,
@@ -233,7 +230,6 @@ impl<'a> BucketEngine<'a> {
             masks,
             reach,
             opt2,
-            alt,
             arena: LabelArena::with_capacity(1024),
             store,
             buckets: Buckets::new(base, params.beta),
@@ -250,19 +246,6 @@ impl<'a> BucketEngine<'a> {
             0
         } else {
             self.masks[node.index()]
-        }
-    }
-
-    /// Lower bound on the remaining budget from `node` to the target:
-    /// `max(BS(σ), ALT)`. Equal to `BS(σ)` — the exact distance — on
-    /// every node, so pruning decisions are unchanged; see
-    /// [`AltBounds`].
-    #[inline]
-    fn bs_lb(&self, node: NodeId) -> f64 {
-        let sigma = self.ctx.bs_sigma(node);
-        match &self.alt {
-            Some(alt) => sigma.max(alt.budget_bound(node)),
-            None => sigma,
         }
     }
 
@@ -404,7 +387,7 @@ impl<'a> BucketEngine<'a> {
         }
         // Algorithm 2 line 11: budget feasibility via the min-budget
         // completion (BucketBound has no objective upper bound).
-        if child.budget + self.bs_lb(child.node) > self.query.budget {
+        if child.budget + self.ctx.bs_sigma(child.node) > self.query.budget {
             self.stats.labels_pruned += 1;
             return;
         }
@@ -462,7 +445,7 @@ impl<'a> BucketEngine<'a> {
         let mut best: Option<(f64, u32)> = None;
         for (bit, _) in self.query.keywords.uncovered(label.mask) {
             if let Some((dist, j)) = reach.nearest(bit, label.node) {
-                if label.budget + dist + self.bs_lb(j) <= self.query.budget {
+                if label.budget + dist + self.ctx.bs_sigma(j) <= self.query.budget {
                     let better = best.is_none_or(|(d, _)| dist < d);
                     if better {
                         best = Some((dist, bit));

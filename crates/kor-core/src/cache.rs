@@ -23,10 +23,7 @@
 //!   holding this keyword" tree, keyed by the keyword alone (the seed
 //!   set is the keyword's postings with zero potential — independent of
 //!   the query's source, target, and budget, so one build serves every
-//!   query mentioning the keyword);
-//! * **landmark vectors** — the per-dataset ALT distance vectors
-//!   ([`kor_apsp::Landmarks`]), one singleton entry built lazily on
-//!   first use and shared by every query.
+//!   query mentioning the keyword).
 //!
 //! Entries are evicted least-recently-used once a map exceeds its
 //! capacity, bounding memory at roughly
@@ -44,7 +41,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use kor_apsp::{backward_tree, KeywordReach, Landmarks, Metric, QueryContext, Tree};
+use kor_apsp::{backward_tree, KeywordReach, Metric, QueryContext, Tree};
 use kor_graph::{Graph, KeywordId, NodeId};
 use kor_index::InvertedIndex;
 
@@ -205,16 +202,8 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Dijkstra trees built on behalf of this cache (two per context
     /// miss, two per Opt-2 miss, one per reach miss — including builds
-    /// that lost a concurrent race and were discarded). Landmark builds
-    /// are tracked separately in `landmark_trees_built`: query-serving
-    /// trees and dataset-level ALT vectors have different lifecycles,
-    /// and conflating them would make "no per-query rebuild happened"
-    /// unobservable.
+    /// that lost a concurrent race and were discarded).
     pub trees_built: u64,
-    /// Dijkstra trees built for the landmark (ALT) singleton: four per
-    /// landmark (forward + backward × objective + budget), rebuilt from
-    /// scratch after every mutation batch.
-    pub landmark_trees_built: u64,
     /// Entries evicted by mutation-driven incremental invalidation
     /// ([`PreprocessCache::carry_over`]), all families alike. Distinct
     /// from — and exclusive with — `evictions`, which counts the LRU
@@ -256,8 +245,6 @@ struct Inner {
     contexts: HashMap<NodeId, Slot<QueryContext>>,
     opt2: HashMap<(NodeId, KeywordId), Slot<Opt2Trees>>,
     reach: HashMap<KeywordId, Slot<Tree>>,
-    /// Per-dataset landmark (ALT) vectors: a singleton, so no LRU slot.
-    landmarks: Option<Arc<Landmarks>>,
     stats: CacheStats,
 }
 
@@ -302,7 +289,6 @@ impl std::fmt::Debug for PreprocessCache {
             .field("contexts", &inner.contexts.len())
             .field("opt2", &inner.opt2.len())
             .field("reach", &inner.reach.len())
-            .field("landmarks", &inner.landmarks.is_some())
             .field("stats", &inner.stats)
             .finish()
     }
@@ -340,7 +326,6 @@ impl PreprocessCache {
                 contexts: HashMap::new(),
                 opt2: HashMap::new(),
                 reach: HashMap::new(),
-                landmarks: None,
                 stats: CacheStats::default(),
             }),
         }
@@ -564,30 +549,6 @@ impl PreprocessCache {
         (value, false)
     }
 
-    /// The per-dataset landmark (ALT) distance vectors, built lazily on
-    /// first use (`4 × DEFAULT_LANDMARKS` Dijkstras) and shared by every
-    /// query thereafter.
-    ///
-    /// # Panics
-    ///
-    /// If `graph` differs in shape from the graph this cache served
-    /// first — one cache serves exactly one dataset.
-    pub fn landmarks(&self, graph: &Graph) -> (Arc<Landmarks>, bool) {
-        {
-            let mut inner = self.inner.lock().unwrap();
-            inner.check_graph(graph);
-            if let Some(lm) = &inner.landmarks {
-                return (lm.clone(), true);
-            }
-        }
-        let built = Arc::new(Landmarks::build(graph, kor_apsp::DEFAULT_LANDMARKS));
-        let mut inner = self.inner.lock().unwrap();
-        inner.stats.landmark_trees_built += 4 * built.len() as u64;
-        // Converge on a concurrent build if one landed first.
-        let value = inner.landmarks.get_or_insert(built).clone();
-        (value, false)
-    }
-
     /// Snapshot of the hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
         self.inner.lock().unwrap().stats
@@ -702,10 +663,6 @@ impl PreprocessCache {
         ] {
             stats.evictions += e;
         }
-        // Landmark vectors are distance tables over the *old* weights:
-        // any carried entry could overestimate a shortened distance and
-        // silently break admissibility, so the singleton is always
-        // dropped and lazily rebuilt on the mutated graph.
         let cache = PreprocessCache {
             capacity: self.capacity,
             inner: Mutex::new(Inner {
@@ -714,7 +671,6 @@ impl PreprocessCache {
                 contexts,
                 opt2,
                 reach,
-                landmarks: None,
                 stats,
             }),
         };
@@ -729,7 +685,6 @@ impl PreprocessCache {
         inner.contexts.clear();
         inner.opt2.clear();
         inner.reach.clear();
-        inner.landmarks = None;
         inner.graph_shape = None;
     }
 }
@@ -944,21 +899,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn landmarks_are_a_shared_singleton() {
-        let g = figure1();
-        let cache = PreprocessCache::new();
-        let (a, hit_a) = cache.landmarks(&g);
-        let (b, hit_b) = cache.landmarks(&g);
-        assert!(!hit_a && hit_b);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(!a.is_empty());
-        // 4 Dijkstras per landmark were accounted for — in their own
-        // counter, not the query-tree one.
-        assert_eq!(cache.stats().landmark_trees_built, 4 * a.len() as u64);
-        assert_eq!(cache.stats().trees_built, 0);
-    }
-
     /// Satellite: mutation-driven invalidation and the LRU cap must be
     /// **exclusive** counters — one removed entry bumps exactly one.
     #[test]
@@ -1021,12 +961,11 @@ mod tests {
     }
 
     #[test]
-    fn carry_over_drops_landmarks_and_keeps_clean_reach_trees() {
+    fn carry_over_keeps_clean_reach_trees() {
         use kor_graph::fixtures::t;
         let g = figure1();
         let index = kor_index::InvertedIndex::build(&g);
         let cache = PreprocessCache::new();
-        cache.landmarks(&g);
         cache.reach_tree(&g, t(1), index.postings(t(1)));
         // t1's reach tree relaxes nodes that reach {v3, v6}; v1 reaches
         // neither (no out-edges), so a change at head v1 keeps it warm.
@@ -1034,8 +973,6 @@ mod tests {
         assert_eq!((counts.reach_retained, counts.reach_evicted), (1, 0));
         let (_, reach_hit) = warm.reach_tree(&g, t(1), index.postings(t(1)));
         assert!(reach_hit, "clean reach tree carried over warm");
-        let (_, lm_hit) = warm.landmarks(&g);
-        assert!(!lm_hit, "landmarks must always rebuild after mutations");
     }
 
     #[test]

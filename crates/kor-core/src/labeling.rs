@@ -13,7 +13,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use kor_apsp::{KeywordReach, Landmarks, QueryContext, TargetBounds};
+use kor_apsp::{KeywordReach, QueryContext};
 use kor_graph::{Graph, KeywordId, NodeId, QueryKeywords, Route};
 use kor_index::InvertedIndex;
 
@@ -307,50 +307,6 @@ pub(crate) fn acquire_reach(
     }
 }
 
-/// Landmark (ALT) lower bounds fixed to one query's target.
-///
-/// Only built from a cache (the vectors are a per-dataset product; a
-/// cold one-shot search has nothing to amortize them over). The combined
-/// prune bound `max(τ/σ, ALT)` equals the exact τ/σ bound on every node
-/// — ALT is admissible, the context distances are exact — so warm and
-/// cold searches stay bit-identical; the property tests in
-/// `tests/property.rs` pin the admissibility inequality itself.
-pub(crate) struct AltBounds {
-    lm: Arc<Landmarks>,
-    target: TargetBounds,
-}
-
-impl AltBounds {
-    /// Acquires the dataset landmarks from `cache` and fixes them to
-    /// `target`. `None` when there is no cache or no landmark could be
-    /// selected (empty graph).
-    pub(crate) fn acquire(
-        graph: &Graph,
-        target: NodeId,
-        cache: Option<&PreprocessCache>,
-    ) -> Option<Self> {
-        let cache = cache?;
-        let (lm, _) = cache.landmarks(graph);
-        if lm.is_empty() {
-            return None;
-        }
-        let target = lm.for_target(target);
-        Some(Self { lm, target })
-    }
-
-    /// Triangle lower bound on the remaining objective `d(v → target)`.
-    #[inline]
-    pub(crate) fn objective_bound(&self, v: NodeId) -> f64 {
-        self.lm.objective_bound(v, &self.target)
-    }
-
-    /// Triangle lower bound on the remaining budget `d(v → target)`.
-    #[inline]
-    pub(crate) fn budget_bound(&self, v: NodeId) -> f64 {
-        self.lm.budget_bound(v, &self.target)
-    }
-}
-
 /// The query-keyword coverage mask for every node, as one flat table.
 ///
 /// The hot loop previously called `keywords.mask_of(graph.keywords(v))`
@@ -519,8 +475,6 @@ struct Engine<'a> {
     masks: Vec<u64>,
     reach: Option<KeywordReach>,
     opt2: Option<Opt2>,
-    /// Landmark bounds; `max`-ed with τ/σ at every pruning site.
-    alt: Option<AltBounds>,
     arena: LabelArena,
     store: LabelStore,
     heap: BinaryHeap<QItem>,
@@ -543,7 +497,6 @@ impl<'a> Engine<'a> {
         let masks = query_mask_table(graph.node_count(), &query.keywords, index);
         let reach = (cfg.use_opt1 && !query.keywords.is_empty())
             .then(|| acquire_reach(graph, index, query, cache, &mut stats));
-        let alt = AltBounds::acquire(graph, query.target, cache);
         let opt2 = opt2_kw.map(|kw| build_opt2(graph, index, query, &ctx, kw, cache, &mut stats));
         let store = LabelStore::new(
             cfg.mode.dom_mode(),
@@ -560,7 +513,6 @@ impl<'a> Engine<'a> {
             masks,
             reach,
             opt2,
-            alt,
             arena: LabelArena::with_capacity(1024),
             store,
             heap: BinaryHeap::with_capacity(1024),
@@ -577,29 +529,6 @@ impl<'a> Engine<'a> {
             0
         } else {
             self.masks[node.index()]
-        }
-    }
-
-    /// Lower bound on the remaining objective from `node` to the target:
-    /// `max(OS(τ), ALT)`. Equal to `OS(τ)` — the exact distance — on
-    /// every node, so pruning decisions are unchanged; see [`AltBounds`].
-    #[inline]
-    fn os_lb(&self, node: NodeId) -> f64 {
-        let tau = self.ctx.os_tau(node);
-        match &self.alt {
-            Some(alt) => tau.max(alt.objective_bound(node)),
-            None => tau,
-        }
-    }
-
-    /// Lower bound on the remaining budget from `node` to the target:
-    /// `max(BS(σ), ALT)`.
-    #[inline]
-    fn bs_lb(&self, node: NodeId) -> f64 {
-        let sigma = self.ctx.bs_sigma(node);
-        match &self.alt {
-            Some(alt) => sigma.max(alt.budget_bound(node)),
-            None => sigma,
         }
     }
 
@@ -645,7 +574,7 @@ impl<'a> Engine<'a> {
                 continue;
             }
             // Algorithm 1 line 7: the best completion cannot beat U.
-            if label.objective + self.os_lb(label.node) > self.top.bound() {
+            if label.objective + self.ctx.os_tau(label.node) > self.top.bound() {
                 self.stats.labels_skipped += 1;
                 continue;
             }
@@ -717,11 +646,11 @@ impl<'a> Engine<'a> {
         // able to produce a feasible route (budget via the min-budget
         // completion σ) that beats the bound (objective via the
         // min-objective completion τ).
-        if child.budget + self.bs_lb(child.node) > self.query.budget {
+        if child.budget + self.ctx.bs_sigma(child.node) > self.query.budget {
             self.stats.labels_pruned += 1;
             return None;
         }
-        if child.objective + self.os_lb(child.node) >= self.top.bound() {
+        if child.objective + self.ctx.os_tau(child.node) >= self.top.bound() {
             self.stats.labels_pruned += 1;
             return None;
         }
@@ -773,7 +702,7 @@ impl<'a> Engine<'a> {
         for (bit, _) in self.query.keywords.uncovered(label.mask) {
             if let Some((dist, j)) = reach.nearest(bit, label.node) {
                 // Feasibility: jump there and still finish within budget.
-                if label.budget + dist + self.bs_lb(j) <= self.query.budget {
+                if label.budget + dist + self.ctx.bs_sigma(j) <= self.query.budget {
                     let better = match best {
                         None => true,
                         Some((d, _)) => dist < d,

@@ -96,8 +96,7 @@ pub mod shard;
 /// The most common imports in one place.
 pub mod prelude {
     pub use kor_apsp::{
-        CachedPairCosts, DenseApsp, Landmarks, PairCosts, PartitionConfig, PartitionedApsp,
-        QueryContext, DEFAULT_LANDMARKS,
+        CachedPairCosts, DenseApsp, PairCosts, PartitionConfig, PartitionedApsp, QueryContext,
     };
     pub use kor_core::{
         brute_force, bucket_bound, exact_labeling, greedy, os_scaling, top_k_bucket_bound,

@@ -58,6 +58,18 @@ const ACTIVE_WAIT: Duration = Duration::from_micros(200);
 /// shutdown latch need polling).
 const IDLE_WAIT: Duration = Duration::from_millis(2);
 
+/// Methods that change server state. On one connection each is a
+/// barrier: it starts only after every earlier request completed, and no
+/// later request starts before it completed, so pipelined neighbours see
+/// the state strictly before or strictly after it — as on the blocking
+/// layer, which answers a connection's requests one at a time.
+const WRITE_METHODS: [&str; 4] = [
+    "update_edges",
+    "load_dataset",
+    "poison_shard",
+    "revive_shard",
+];
+
 /// After shutdown, connections that cannot flush their remaining
 /// responses within this grace period are dropped.
 const DRAIN_GRACE: Duration = Duration::from_secs(3);
@@ -231,6 +243,13 @@ struct Conn {
     next_write: u64,
     /// Requests dispatched to workers and not yet completed.
     in_flight: usize,
+    /// Sequence number of the dispatched, not yet completed write
+    /// request (see [`WRITE_METHODS`]); nothing is read or dispatched
+    /// behind it.
+    write_in_flight: Option<u64>,
+    /// The next complete line is a write waiting for `in_flight` to
+    /// drain; nothing more is read until it is dispatched.
+    write_waiting: bool,
     /// Completed responses that arrived out of order.
     pending: BTreeMap<u64, String>,
     /// Peer closed its write side; parse what remains, then close.
@@ -253,6 +272,8 @@ impl Conn {
             next_seq: 0,
             next_write: 0,
             in_flight: 0,
+            write_in_flight: None,
+            write_waiting: false,
             pending: BTreeMap::new(),
             eof: false,
             closing: false,
@@ -264,6 +285,15 @@ impl Conn {
     /// the wire.
     fn outstanding(&self) -> bool {
         self.next_write < self.next_seq || self.write_pos < self.write_buf.len()
+    }
+
+    /// Records a worker's response to request `seq`.
+    fn complete(&mut self, seq: u64, response: String) {
+        self.in_flight -= 1;
+        if self.write_in_flight == Some(seq) {
+            self.write_in_flight = None;
+        }
+        self.pending.insert(seq, response);
     }
 
     /// Moves completed in-order responses into the write buffer.
@@ -413,8 +443,7 @@ impl Reactor {
         if conn.generation != completion.generation {
             return;
         }
-        conn.in_flight -= 1;
-        conn.pending.insert(completion.seq, completion.response);
+        conn.complete(completion.seq, completion.response);
     }
 
     /// Flush + read + parse every connection once.
@@ -490,8 +519,9 @@ fn service_conn(ctx: &ServerContext, queue: &JobQueue, conn: &mut Conn, slot: us
     }
 
     // Read once; backpressure by simply not reading when the pipeline
-    // is full.
-    if !conn.dead && !conn.closing && !conn.eof && conn.in_flight < MAX_PIPELINE {
+    // is full or held at a write.
+    let held = conn.write_in_flight.is_some() || conn.write_waiting;
+    if !conn.dead && !conn.closing && !conn.eof && conn.in_flight < MAX_PIPELINE && !held {
         let mut scratch = [0u8; SCRATCH];
         match conn.stream.read(&mut scratch) {
             Ok(0) => {
@@ -514,7 +544,11 @@ fn service_conn(ctx: &ServerContext, queue: &JobQueue, conn: &mut Conn, slot: us
     // Parse complete lines. A line is "committed" only once its newline
     // arrived — identical to the blocking reader — so segment
     // boundaries can never change how a request parses.
-    while !conn.dead && !conn.closing && conn.in_flight < MAX_PIPELINE {
+    while !conn.dead
+        && !conn.closing
+        && conn.in_flight < MAX_PIPELINE
+        && conn.write_in_flight.is_none()
+    {
         let Some(rel) = conn.read_buf[conn.scanned..]
             .iter()
             .position(|&b| b == b'\n')
@@ -528,6 +562,11 @@ fn service_conn(ctx: &ServerContext, queue: &JobQueue, conn: &mut Conn, slot: us
         let pos = conn.scanned + rel;
         if pos > ctx.max_request_bytes {
             conn.reject_too_large(ctx.max_request_bytes);
+            break;
+        }
+        let write = is_write(&conn.read_buf[..pos]);
+        conn.write_waiting = write && conn.in_flight > 0;
+        if conn.write_waiting {
             break;
         }
         let line: Vec<u8> = conn.read_buf[..pos].to_vec();
@@ -556,6 +595,9 @@ fn service_conn(ctx: &ServerContext, queue: &JobQueue, conn: &mut Conn, slot: us
         match queue.push(job) {
             Ok(()) => {
                 conn.in_flight += 1;
+                if write {
+                    conn.write_in_flight = Some(seq);
+                }
                 progress = true;
             }
             Err(_refused) => {
@@ -574,6 +616,14 @@ fn service_conn(ctx: &ServerContext, queue: &JobQueue, conn: &mut Conn, slot: us
 
     conn.promote();
     progress
+}
+
+/// Whether `line` requests one of the [`WRITE_METHODS`]. Only lines
+/// naming one are parsed here; the worker parses every line again.
+fn is_write(line: &[u8]) -> bool {
+    let text = String::from_utf8_lossy(line);
+    WRITE_METHODS.iter().any(|m| text.contains(m))
+        && parse_request(text.trim()).is_ok_and(|r| WRITE_METHODS.contains(&r.method.as_str()))
 }
 
 #[cfg(test)]
@@ -640,6 +690,34 @@ mod tests {
         assert_eq!(conn.write_buf, b"zero\none\ntwo\n");
         assert!(!conn.pending.is_empty() || conn.next_write == 3);
         assert!(conn.outstanding(), "bytes still unflushed");
+    }
+
+    #[test]
+    fn a_pipelined_write_runs_alone() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(stream, 1);
+        let read = r#"{"id":0,"method":"query","params":{"keywords":["update_edges"]}}"#;
+        let write = r#"{"id":1,"method":"update_edges","params":{}}"#;
+        assert!(!is_write(read.as_bytes()) && is_write(write.as_bytes()));
+        conn.read_buf = format!("{read}\n{write}\n{read}\n").into_bytes();
+        let ctx = ServerContext::new(2, 0);
+        let queue = JobQueue::new(8);
+        // Each visit dispatches exactly one request: the write waits for
+        // the read before it, and the read after it waits for the write.
+        for seq in 0..3 {
+            service_conn(&ctx, &queue, &mut conn, 0);
+            assert_eq!(queue.state.lock().unwrap().jobs.len(), 1, "visit {seq}");
+            let job = queue.pop().unwrap();
+            assert_eq!(job.seq, seq);
+            assert_eq!(job.line, [read, write, read][seq as usize].as_bytes());
+            service_conn(&ctx, &queue, &mut conn, 0);
+            assert!(queue.state.lock().unwrap().jobs.is_empty(), "visit {seq}");
+            conn.complete(seq, String::new());
+        }
+        assert!(!conn.write_waiting && conn.write_in_flight.is_none());
     }
 
     #[test]

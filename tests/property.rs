@@ -267,77 +267,3 @@ fn graph_io_round_trips() {
         }
     }
 }
-
-#[test]
-fn landmark_bounds_are_admissible_on_random_graphs() {
-    // The ALT triangle bound must never exceed the true remaining
-    // shortest distance to the target — in either metric — or the
-    // engines would prune feasible routes. Exercised on random directed
-    // graphs full of unreachable pairs, where the ±inf arithmetic in
-    // the bound is most likely to go wrong.
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x8000 + case);
-        let graph = random_graph(&mut rng, 14);
-        let lm = Landmarks::build(&graph, DEFAULT_LANDMARKS);
-        for target in graph.nodes() {
-            let ctx = QueryContext::new(&graph, target);
-            let bounds = lm.for_target(target);
-            for v in graph.nodes() {
-                let ob = lm.objective_bound(v, &bounds);
-                let bb = lm.budget_bound(v, &bounds);
-                assert!(!ob.is_nan() && !bb.is_nan(), "case {case}: NaN bound");
-                assert!(
-                    ob <= ctx.os_tau(v),
-                    "case {case}: objective bound {ob} > true {} ({v} -> {target})",
-                    ctx.os_tau(v)
-                );
-                assert!(
-                    bb <= ctx.bs_sigma(v),
-                    "case {case}: budget bound {bb} > true {} ({v} -> {target})",
-                    ctx.bs_sigma(v)
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn landmark_bounds_are_admissible_on_generated_worlds() {
-    // Same invariant on the `kor gen` worlds the oracle suites use:
-    // positioned grid/ring topologies route landmark selection through
-    // the geometric partitioner, a different code path than the BFS
-    // fallback random graphs take.
-    let configs = [
-        GenConfig::grid(8, 6, 21),
-        GenConfig::ring(40, 6, 22),
-        GenConfig::grid(5, 5, 23),
-    ];
-    for config in configs {
-        let world = generate_world(&config);
-        let graph = &world.graph;
-        let lm = Landmarks::build(graph, DEFAULT_LANDMARKS);
-        let mut rng = StdRng::seed_from_u64(0x9000 + config.seed);
-        let n = graph.node_count() as u32;
-        for _ in 0..200 {
-            let v = NodeId(rng.gen_range(0..n));
-            let target = NodeId(rng.gen_range(0..n));
-            let ctx = QueryContext::new(graph, target);
-            let bounds = lm.for_target(target);
-            let ob = lm.objective_bound(v, &bounds);
-            let bb = lm.budget_bound(v, &bounds);
-            assert!(!ob.is_nan() && !bb.is_nan(), "seed {}: NaN", config.seed);
-            assert!(
-                ob <= ctx.os_tau(v),
-                "seed {}: objective bound {ob} > true {} ({v} -> {target})",
-                config.seed,
-                ctx.os_tau(v)
-            );
-            assert!(
-                bb <= ctx.bs_sigma(v),
-                "seed {}: budget bound {bb} > true {} ({v} -> {target})",
-                config.seed,
-                ctx.bs_sigma(v)
-            );
-        }
-    }
-}
