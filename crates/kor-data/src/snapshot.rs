@@ -152,9 +152,12 @@ impl From<GraphError> for SnapshotError {
     }
 }
 
-/// IEEE CRC-32 lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// IEEE CRC-32 slicing-by-8 tables, built at compile time. `CRC_TABLES[0]`
+/// is the classic bytewise table; `CRC_TABLES[k][b]` is the CRC register
+/// after byte `b` is followed by `k` zero bytes, so eight input bytes
+/// fold into the register with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -167,18 +170,43 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 };
 
 /// IEEE CRC-32 of `bytes` (shared with the mutation journal, whose
-/// chained record checksums use the same polynomial).
+/// chained record checksums use the same polynomial), eight bytes per
+/// step. Same values as the bytewise loop, so existing files verify.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -751,6 +779,46 @@ mod tests {
 
     fn world() -> Snapshot {
         generate_world(&GenConfig::grid(5, 4, 11))
+    }
+
+    /// The bytewise reference the sliced CRC must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_matches_the_ieee_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_matches_bytewise_on_every_length_and_offset() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xC3C3);
+        let buf: Vec<u8> = (0..4096).map(|_| rng.gen_range(0..256u32) as u8).collect();
+        // Every short length at random (unaligned) offsets: covers each
+        // split between the 8-byte body and the bytewise tail.
+        for len in 0..=64usize {
+            for _ in 0..8 {
+                let at = rng.gen_range(0..buf.len() - len);
+                let s = &buf[at..at + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "len {len} at {at}");
+            }
+        }
+        // Long random inputs.
+        for _ in 0..16 {
+            let len = rng.gen_range(65..buf.len());
+            let at = rng.gen_range(0..buf.len() - len);
+            let s = &buf[at..at + len];
+            assert_eq!(crc32(s), crc32_bytewise(s), "len {len} at {at}");
+        }
     }
 
     #[test]

@@ -141,12 +141,13 @@ fn usage() -> &'static str {
      \x20           [--per-target Q] [--budget X] [--seed N]\n\
      \x20           [--algos a,b,c] [--smoke]\n\
      \x20           [--compare BASELINE.json] [--tolerance F]\n\
-     \x20 kor serve [--addr HOST:PORT] [--threads N] [--io event|blocking]\n\
-     \x20           [--queue N] [--dataset [NAME=]FILE]... [--deadline-ms N]\n\
+     \x20 kor serve [--addr HOST:PORT] [--threads N] [--queue N]\n\
+     \x20           [--dataset [NAME=]FILE]... [--deadline-ms N]\n\
      \x20           [--max-request-bytes N] [--journal DIR]\n\
      \x20 kor loadtest FILE.korbin [--out BENCH_serve.json] [--threads N]\n\
      \x20           [--clients N] [--duration-ms N] [--warmup-ms N]\n\
-     \x20           [--think-ms N] [--mode event|blocking|both] [--smoke]\n\
+     \x20           [--think-ms N] [--smoke]\n\
+     \x20           [--compare BASELINE.json] [--tolerance F]\n\
      \x20 kor recover FILE --journal DIR [--name NAME] [--verify] [--compact]\n\
      \x20           [--algo os-scaling|bucket-bound|greedy] [--epsilon E]\n\
      \x20           [--beta B] [--alpha A] [--beam N] [--json-out FILE]\n\
@@ -953,29 +954,43 @@ fn bench(args: &[String]) -> Result<(), String> {
                 .into(),
         );
     }
-    if let Some(baseline_path) = flag(&flags, "compare") {
-        let tolerance: f64 = parse_num(&flags, "tolerance", 0.6)?;
-        if !tolerance.is_finite() || tolerance < 0.0 {
-            return Err("--tolerance must be a finite number ≥ 0".into());
-        }
-        let text = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("reading baseline {baseline_path}: {e}"))?;
-        let baseline = kor::json::JsonValue::parse(&text)
-            .map_err(|e| format!("parsing baseline {baseline_path}: {e:?}"))?;
-        let failures = kor::bench::compare_with_baseline(&report, &baseline, tolerance);
-        if failures.is_empty() {
-            eprintln!("bench: no regression vs {baseline_path} (tolerance {tolerance})");
-        } else {
-            for f in &failures {
-                eprintln!("bench regression: {f}");
-            }
-            return Err(format!(
-                "{} regression(s) vs baseline {baseline_path}",
-                failures.len()
-            ));
-        }
+    gate_against_baseline("bench", &flags, |baseline, tolerance| {
+        kor::bench::compare_with_baseline(&report, baseline, tolerance)
+    })
+}
+
+/// `--compare BASELINE [--tolerance F]`, shared by `bench` and
+/// `loadtest`: loads the baseline report, runs `compare` on it, prints
+/// every regression and fails when there is any. No-op without
+/// `--compare`.
+fn gate_against_baseline(
+    what: &str,
+    flags: &[(String, String)],
+    compare: impl FnOnce(&kor::json::JsonValue, f64) -> Vec<String>,
+) -> Result<(), String> {
+    let Some(baseline_path) = flag(flags, "compare") else {
+        return Ok(());
+    };
+    let tolerance: f64 = parse_num(flags, "tolerance", 0.6)?;
+    if !tolerance.is_finite() || tolerance < 0.0 {
+        return Err("--tolerance must be a finite number ≥ 0".into());
     }
-    Ok(())
+    let text = std::fs::read_to_string(baseline_path)
+        .map_err(|e| format!("reading baseline {baseline_path}: {e}"))?;
+    let baseline = kor::json::JsonValue::parse(&text)
+        .map_err(|e| format!("parsing baseline {baseline_path}: {e:?}"))?;
+    let failures = compare(&baseline, tolerance);
+    if failures.is_empty() {
+        eprintln!("{what}: no regression vs {baseline_path} (tolerance {tolerance})");
+        return Ok(());
+    }
+    for f in &failures {
+        eprintln!("{what} regression: {f}");
+    }
+    Err(format!(
+        "{} regression(s) vs baseline {baseline_path}",
+        failures.len()
+    ))
 }
 
 /// `kor serve`: run the TCP query service until a `shutdown` request.
@@ -989,7 +1004,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     let config = ServeConfig {
         addr: flag(&flags, "addr").unwrap_or("127.0.0.1:7878").to_string(),
         threads: parse_num(&flags, "threads", 0)?,
-        io: flag(&flags, "io").unwrap_or("event").parse()?,
         queue_capacity: parse_num(&flags, "queue", 0)?,
         default_deadline_ms: parse_num(&flags, "deadline-ms", 0)?,
         max_request_bytes: parse_num(&flags, "max-request-bytes", 1 << 20)?,
@@ -1097,8 +1111,9 @@ fn recover(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `kor loadtest`: measure `kor serve` throughput per I/O mode against
-/// a snapshot's canned queries and write `BENCH_serve.json`.
+/// `kor loadtest`: measure `kor serve` throughput and idle round trip
+/// against a snapshot's canned queries, write `BENCH_serve.json`, and
+/// optionally gate it against a baseline report.
 fn loadtest(args: &[String]) -> Result<(), String> {
     let (positional, flags) = parse_flags(args)?;
     let path = positional
@@ -1129,42 +1144,30 @@ fn loadtest(args: &[String]) -> Result<(), String> {
     if cfg.threads == 0 || cfg.clients == 0 || cfg.duration.is_zero() {
         return Err("--threads, --clients, and --duration-ms must be ≥ 1".into());
     }
-    cfg.modes = match flag(&flags, "mode").unwrap_or("both") {
-        "both" => vec![kor::serve::IoMode::Event, kor::serve::IoMode::Blocking],
-        other => vec![other.parse()?],
-    };
     if let Some(out) = flag(&flags, "out") {
         cfg.out = PathBuf::from(out);
     }
     let report = run_loadtest_to_file(Path::new(path), &cfg)?;
-    for io in ["event", "blocking"] {
-        if let Some(mode) = report.get("modes").and_then(|m| m.get(io)) {
-            let qps = mode.get("qps").and_then(kor::json::JsonValue::as_f64);
-            let p50 = mode
-                .get("latency_ms")
-                .and_then(|l| l.get("p50"))
-                .and_then(kor::json::JsonValue::as_f64);
-            eprintln!(
-                "loadtest [{io}]: {:.0} qps, p50 {:.2} ms, {} overloaded, {} io errors",
-                qps.unwrap_or(f64::NAN),
-                p50.unwrap_or(f64::NAN),
-                mode.get("overloaded")
-                    .and_then(kor::json::JsonValue::as_u64)
-                    .unwrap_or(0),
-                mode.get("io_errors")
-                    .and_then(kor::json::JsonValue::as_u64)
-                    .unwrap_or(0),
-            );
-        }
-    }
-    if let Some(speedup) = report
-        .get("speedup_event_over_blocking")
-        .and_then(kor::json::JsonValue::as_f64)
-    {
-        eprintln!("loadtest: event is ×{speedup:.2} the blocking QPS");
-    }
+    let num = |key: &str| report.get(key).and_then(kor::json::JsonValue::as_f64);
+    eprintln!(
+        "loadtest: {:.0} qps, p50 {:.2} ms, idle round trip p50 {:.1} us, {} overloaded, {} io errors",
+        num("qps").unwrap_or(f64::NAN),
+        report
+            .get("latency_ms")
+            .and_then(|l| l.get("p50"))
+            .and_then(kor::json::JsonValue::as_f64)
+            .unwrap_or(f64::NAN),
+        num("idle_rtt_us_p50").unwrap_or(f64::NAN),
+        num("overloaded").unwrap_or(0.0),
+        num("io_errors").unwrap_or(0.0),
+    );
     eprintln!("wrote {}", cfg.out.display());
-    Ok(())
+    gate_against_baseline("loadtest", &flags, |baseline, tolerance| {
+        if !kor::loadtest::same_workload(&report, baseline) {
+            eprintln!("loadtest: baseline ran another workload; qps not compared");
+        }
+        kor::loadtest::compare_with_baseline(&report, baseline, tolerance)
+    })
 }
 
 #[cfg(test)]

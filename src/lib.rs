@@ -28,13 +28,12 @@
 //! * [`mod@bench`] — the tracked warm-vs-cold performance baseline
 //!   (`kor bench` on the CLI, emitting `BENCH_kor.json`);
 //! * [`serve`] — a TCP query service with warm per-dataset engines, a
-//!   newline-delimited JSON protocol, and two selectable I/O layers: a
-//!   readiness-driven event reactor (default) and the blocking
-//!   one-worker-per-connection baseline (`kor serve` on the CLI; wire
-//!   contract in `docs/PROTOCOL.md`);
-//! * [`loadtest`] — a closed-loop client fleet that measures `serve`
-//!   throughput and latency per I/O mode (`kor loadtest` on the CLI,
-//!   emitting `BENCH_serve.json`);
+//!   newline-delimited JSON protocol with keep-alive and pipelining,
+//!   one blocking reader thread per connection and a worker pool (`kor
+//!   serve` on the CLI; wire contract in `docs/PROTOCOL.md`);
+//! * [`loadtest`] — the idle round trip plus a closed-loop client fleet
+//!   that measures `serve` throughput and latency (`kor loadtest` on
+//!   the CLI, emitting `BENCH_serve.json`);
 //! * [`recover`] — offline crash recovery: replay a mutation journal
 //!   over its base world, verify the recovered engine against a
 //!   never-crashed twin, and compact the journal into a checkpoint

@@ -1,29 +1,29 @@
-//! `kor loadtest` — closed-loop throughput measurement of `kor serve`.
+//! `kor loadtest` — closed-loop throughput and idle latency of
+//! `kor serve`.
 //!
-//! Spawns an in-process server per [`crate::serve::IoMode`], loads it
-//! with a `.korbin` snapshot, and hammers it with the snapshot's canned
-//! queries from a fleet of closed-loop keep-alive clients: each client
-//! holds one connection, sends a request, waits for the response,
-//! thinks for a few milliseconds, repeats. The think time is what makes
-//! the comparison honest — it is exactly the regime the event rewrite
-//! targets: mostly-idle keep-alive connections pin a blocking worker
-//! for their whole lifetime, so the blocking layer serves at most
-//! `threads` clients no matter how many connect, while the event layer
-//! multiplexes all of them and keeps the workers busy with actual
-//! requests.
+//! Spawns an in-process server, loads it with a `.korbin` snapshot, and
+//! measures two things:
+//!
+//! * **idle round trip** — sequential `health` requests on one
+//!   keep-alive connection to the otherwise idle server
+//!   (`idle_rtt_us_p50`): the cost the I/O layer adds to a request
+//!   that does no work;
+//! * **throughput** — a fleet of closed-loop keep-alive clients replays
+//!   the snapshot's canned queries: each client sends a request, waits
+//!   for the response, thinks for a few milliseconds, repeats.
 //!
 //! Clients are robust to a server under pressure: a refused connect or
 //! an `overloaded` response is retried with deterministic jittered
 //! exponential backoff (bounded attempts, then the client gives up on
 //! that request and moves on); the report counts `retries` and
-//! `gave_up` per mode so saturation is visible rather than silently
-//! smoothed over.
+//! `gave_up` so saturation is visible rather than silently smoothed
+//! over.
 //!
 //! The report is written to `BENCH_serve.json` (schema documented in
-//! `docs/ARCHITECTURE.md`): per-mode QPS, p50/p95/p99/max latency,
-//! error, `overloaded`, `retries`, and `gave_up` counts, connection
-//! counts, and the server's own `stats.server` section, plus the
-//! event-over-blocking speedup.
+//! `README.md`): QPS, p50/p95/p99/max latency, error, `overloaded`,
+//! `retries` and `gave_up` counts, connection counts, the idle round
+//! trip, and the server's own `stats.server` section.
+//! [`compare_with_baseline`] gates a report against a committed one.
 //! Any response that is neither `ok` nor an `overloaded` error fails
 //! the run — under a well-formed canned workload the server has no
 //! excuse for one, so CI treats it as a protocol regression.
@@ -39,19 +39,16 @@ use kor_data::snapshot::Snapshot;
 
 use crate::json::JsonValue;
 use crate::serve::registry::Dataset;
-use crate::serve::{IoMode, ServeConfig, Server};
+use crate::serve::{ServeConfig, Server};
 
 /// Configuration for [`run_loadtest`].
 #[derive(Debug, Clone)]
 pub struct LoadtestConfig {
-    /// I/O modes to measure, in order.
-    pub modes: Vec<IoMode>,
-    /// Server worker threads (identical across modes, so the comparison
-    /// is at equal worker count).
+    /// Server worker threads.
     pub threads: usize,
     /// Concurrent closed-loop clients.
     pub clients: usize,
-    /// Measurement window per mode (after warmup).
+    /// Measurement window (after warmup).
     pub duration: Duration,
     /// Ramp-up excluded from the counts: connections settle and caches
     /// warm.
@@ -63,11 +60,10 @@ pub struct LoadtestConfig {
 }
 
 impl Default for LoadtestConfig {
-    /// Both modes, 2 server threads, 16 clients, 4 s measured after
-    /// 500 ms warmup, 5 ms think time, report to `BENCH_serve.json`.
+    /// 2 server threads, 16 clients, 4 s measured after 500 ms warmup,
+    /// 5 ms think time, report to `BENCH_serve.json`.
     fn default() -> Self {
         Self {
-            modes: vec![IoMode::Event, IoMode::Blocking],
             threads: 2,
             clients: 16,
             duration: Duration::from_secs(4),
@@ -257,8 +253,9 @@ fn client_loop(spec: &ClientSpec, lines: &[String], stop: &AtomicBool) -> Client
         })();
         match outcome {
             Err(()) => {
-                // Timeout, reset, or orderly close (the blocking layer
-                // hangs up after answering `overloaded`): reconnect.
+                // Timeout, reset, or orderly close (the server hangs
+                // up after refusing a connection past its cap):
+                // reconnect.
                 tally.io_errors += 1;
                 cursor += 1;
                 conn = None;
@@ -390,17 +387,58 @@ fn fetch_server_stats(addr: SocketAddr) -> Option<JsonValue> {
         .cloned()
 }
 
-/// Measures one I/O mode: boots a server on an ephemeral port, runs the
-/// client fleet, returns (report, merged tally).
-fn run_mode(
-    world: &Snapshot,
-    cfg: &LoadtestConfig,
-    io: IoMode,
-) -> Result<(JsonValue, ClientTally), String> {
+/// Timed round trips behind `idle_rtt_us_p50`: a few tens of
+/// milliseconds on an idle server, enough for a stable median.
+const RTT_SAMPLES: usize = 2000;
+
+/// Median of [`RTT_SAMPLES`] sequential `health` round trips on one
+/// keep-alive connection, in microseconds, after as many untimed ones
+/// (the first round trips on a fresh server read up to twice as slow).
+fn idle_rtt_us_p50(addr: SocketAddr) -> Result<f64, String> {
+    let conn = TcpStream::connect(addr).map_err(|e| format!("rtt probe connect: {e}"))?;
+    conn.set_nodelay(true).ok();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).ok();
+    let mut writer = conn.try_clone().map_err(|e| format!("rtt probe: {e}"))?;
+    let mut reader = BufReader::new(conn);
+    let mut resp = String::new();
+    let mut us = Vec::with_capacity(RTT_SAMPLES);
+    for i in 0..2 * RTT_SAMPLES {
+        let sent = Instant::now();
+        writer
+            .write_all(b"{\"method\":\"health\"}\n")
+            .map_err(|e| format!("rtt probe write: {e}"))?;
+        resp.clear();
+        match reader.read_line(&mut resp) {
+            Ok(n) if n > 0 && resp.contains("\"ok\":true") => {}
+            other => return Err(format!("rtt probe: bad health reply {other:?}: {resp:?}")),
+        }
+        if i >= RTT_SAMPLES {
+            us.push(sent.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    crate::percentile::sort_samples(&mut us);
+    Ok(crate::percentile::percentile_sorted(&us, 0.50))
+}
+
+/// Runs the full loadtest over an in-memory snapshot and returns the
+/// report (no file written) — the library entry point the CLI and the
+/// tests share.
+///
+/// Boots a server on an ephemeral port, times the idle round trip,
+/// then runs the client fleet. Fails if the snapshot cans no queries,
+/// if any client saw a response that was neither `ok` nor
+/// `overloaded`, or if no request completed.
+pub fn run_loadtest(world: &Snapshot, cfg: &LoadtestConfig) -> Result<JsonValue, String> {
+    if world.query_count() == 0 {
+        return Err(
+            "snapshot holds no canned queries (generate one with `kor gen`, or can a \
+             workload with `kor ingest --per-set`)"
+                .into(),
+        );
+    }
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: cfg.threads,
-        io,
         ..ServeConfig::default()
     })
     .map_err(|e| format!("bind: {e}"))?;
@@ -410,13 +448,19 @@ fn run_mode(
     let addr = server.local_addr();
     let handle = server.start();
 
+    let rtt = match idle_rtt_us_p50(addr) {
+        Ok(us) => us,
+        Err(e) => {
+            handle.shutdown();
+            return Err(e);
+        }
+    };
     let lines = Arc::new(request_lines(world, "world"));
     let stop = Arc::new(AtomicBool::new(false));
     let start = Instant::now();
     let measure_from = start + cfg.warmup;
-    // Generous enough that a queued blocking-mode connection times out
-    // and retries rather than hanging to the end of the run; short
-    // enough that several retries fit in the window.
+    // Long enough for a loaded server, short enough that several
+    // retries fit in the window.
     let read_timeout = Duration::from_millis(750);
     let mut clients = Vec::with_capacity(cfg.clients);
     for c in 0..cfg.clients {
@@ -444,66 +488,21 @@ fn run_mode(
     let server_stats = fetch_server_stats(addr).unwrap_or(JsonValue::Null);
     handle.shutdown();
 
+    if tally.other_errors > 0 {
+        return Err(format!(
+            "{} non-overloaded error responses, e.g.: {}",
+            tally.other_errors,
+            tally.sample_error.as_deref().unwrap_or("<lost>")
+        ));
+    }
+    if tally.ok == 0 {
+        return Err(format!(
+            "no successful responses ({} io errors)",
+            tally.io_errors
+        ));
+    }
     let qps = tally.ok as f64 / cfg.duration.as_secs_f64();
-    let report = JsonValue::obj([
-        ("io", io.as_str().into()),
-        ("qps", qps.into()),
-        ("requests_ok", tally.ok.into()),
-        ("overloaded", tally.overloaded.into()),
-        ("other_errors", tally.other_errors.into()),
-        ("io_errors", tally.io_errors.into()),
-        ("retries", tally.retries.into()),
-        ("gave_up", tally.gave_up.into()),
-        ("connections", tally.connections.into()),
-        ("latency_ms", latency_json(tally.latencies_ms.clone())),
-        ("server", server_stats),
-    ]);
-    Ok((report, tally))
-}
-
-/// Runs the full loadtest over an in-memory snapshot and returns the
-/// report (no file written) — the library entry point the CLI and the
-/// tests share.
-///
-/// Fails if the snapshot cans no queries, if any client saw a response
-/// that was neither `ok` nor `overloaded`, or if a measured mode
-/// completed zero requests.
-pub fn run_loadtest(world: &Snapshot, cfg: &LoadtestConfig) -> Result<JsonValue, String> {
-    if world.query_count() == 0 {
-        return Err(
-            "snapshot holds no canned queries (generate one with `kor gen`, or can a \
-             workload with `kor ingest --per-set`)"
-                .into(),
-        );
-    }
-    if cfg.modes.is_empty() {
-        return Err("no io modes selected".into());
-    }
-    let mut mode_reports: Vec<(&'static str, JsonValue)> = Vec::new();
-    let mut qps_by_mode: Vec<(IoMode, f64)> = Vec::new();
-    for &io in &cfg.modes {
-        let (report, tally) = run_mode(world, cfg, io)?;
-        if tally.other_errors > 0 {
-            return Err(format!(
-                "{} non-overloaded error responses in {} mode, e.g.: {}",
-                tally.other_errors,
-                io.as_str(),
-                tally.sample_error.as_deref().unwrap_or("<lost>")
-            ));
-        }
-        if tally.ok == 0 {
-            return Err(format!(
-                "no successful responses in {} mode ({} io errors)",
-                io.as_str(),
-                tally.io_errors
-            ));
-        }
-        let qps = report.get("qps").and_then(JsonValue::as_f64).unwrap_or(0.0);
-        qps_by_mode.push((io, qps));
-        mode_reports.push((io.as_str(), report));
-    }
-
-    let mut fields: Vec<(&'static str, JsonValue)> = vec![
+    Ok(JsonValue::obj([
         ("created_by", "kor loadtest".into()),
         (
             "dataset",
@@ -524,22 +523,79 @@ pub fn run_loadtest(world: &Snapshot, cfg: &LoadtestConfig) -> Result<JsonValue,
                 ("think_ms", (cfg.think.as_millis() as u64).into()),
             ]),
         ),
-        ("modes", JsonValue::obj(mode_reports)),
-    ];
-    let event = qps_by_mode
+        ("qps", qps.into()),
+        ("idle_rtt_us_p50", rtt.into()),
+        ("requests_ok", tally.ok.into()),
+        ("overloaded", tally.overloaded.into()),
+        ("other_errors", tally.other_errors.into()),
+        ("io_errors", tally.io_errors.into()),
+        ("retries", tally.retries.into()),
+        ("gave_up", tally.gave_up.into()),
+        ("connections", tally.connections.into()),
+        ("latency_ms", latency_json(tally.latencies_ms)),
+        ("server", server_stats),
+    ]))
+}
+
+/// Whether two reports measured the same throughput workload: the same
+/// dataset shape and the same threads, clients and think time. Window
+/// lengths may differ (CI's `--smoke` run against the committed full
+/// run), since a closed-loop fleet's steady-state QPS does not depend
+/// on them.
+pub fn same_workload(report: &JsonValue, baseline: &JsonValue) -> bool {
+    let field = |doc: &JsonValue, section: &str, key: &str| {
+        doc.get(section)
+            .and_then(|s| s.get(key))
+            .map(JsonValue::render)
+    };
+    let dataset = ["nodes", "edges", "keywords", "canned_queries"];
+    let config = ["threads", "clients", "think_ms"];
+    dataset
         .iter()
-        .find(|(io, _)| *io == IoMode::Event)
-        .map(|&(_, q)| q);
-    let blocking = qps_by_mode
-        .iter()
-        .find(|(io, _)| *io == IoMode::Blocking)
-        .map(|&(_, q)| q);
-    if let (Some(e), Some(b)) = (event, blocking) {
-        if b > 0.0 {
-            fields.push(("speedup_event_over_blocking", (e / b).into()));
+        .all(|k| field(report, "dataset", k) == field(baseline, "dataset", k))
+        && config
+            .iter()
+            .all(|k| field(report, "config", k) == field(baseline, "config", k))
+}
+
+/// Compares a fresh report against a committed baseline, returning
+/// every violation (empty ⇒ the gate passes) — the same contract as
+/// `kor bench --compare`:
+///
+/// * **idle round trip** — `idle_rtt_us_p50` must stay within
+///   `old × (1 + tolerance)`. A `health` request on an idle server does
+///   not depend on the dataset, so this is always compared.
+/// * **throughput** — when both reports ran the same workload (see
+///   [`same_workload`]), `qps` must not fall below
+///   `old / (1 + tolerance)`; across different workloads absolute QPS
+///   is not comparable and is not gated.
+pub fn compare_with_baseline(
+    report: &JsonValue,
+    baseline: &JsonValue,
+    tolerance: f64,
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    let num = |doc: &JsonValue, key: &str| doc.get(key).and_then(JsonValue::as_f64);
+    match (
+        num(report, "idle_rtt_us_p50"),
+        num(baseline, "idle_rtt_us_p50"),
+    ) {
+        (Some(new), Some(old)) if new > old * (1.0 + tolerance) => failures.push(format!(
+            "idle round trip p50 {new:.1}us regressed past {old:.1}us × (1 + {tolerance})"
+        )),
+        (None, _) => failures.push("report has no idle_rtt_us_p50".into()),
+        _ => {}
+    }
+    if same_workload(report, baseline) {
+        match (num(report, "qps"), num(baseline, "qps")) {
+            (Some(new), Some(old)) if new * (1.0 + tolerance) < old => failures.push(format!(
+                "throughput {new:.1} qps fell below {old:.1} qps / (1 + {tolerance})"
+            )),
+            (None, _) => failures.push("report has no qps".into()),
+            _ => {}
         }
     }
-    Ok(JsonValue::obj(fields))
+    failures
 }
 
 /// CLI entry point: loads the snapshot from `path`, runs the loadtest,
@@ -618,7 +674,6 @@ mod tests {
     fn quick_event_run_produces_a_report() {
         let world = tiny_world();
         let cfg = LoadtestConfig {
-            modes: vec![IoMode::Event],
             threads: 1,
             clients: 4,
             duration: Duration::from_millis(400),
@@ -627,18 +682,59 @@ mod tests {
             ..LoadtestConfig::default()
         };
         let report = run_loadtest(&world, &cfg).unwrap();
-        let event = report.get("modes").unwrap().get("event").unwrap();
-        assert!(event.get("qps").and_then(JsonValue::as_f64).unwrap() > 0.0);
+        assert!(report.get("qps").and_then(JsonValue::as_f64).unwrap() > 0.0);
+        assert!(
+            report
+                .get("idle_rtt_us_p50")
+                .and_then(JsonValue::as_f64)
+                .unwrap()
+                > 0.0
+        );
         assert_eq!(
-            event.get("other_errors").and_then(JsonValue::as_u64),
+            report.get("other_errors").and_then(JsonValue::as_u64),
             Some(0)
         );
         // The retry counters are always reported, zero on a calm run.
-        assert!(event.get("retries").and_then(JsonValue::as_u64).is_some());
-        assert!(event.get("gave_up").and_then(JsonValue::as_u64).is_some());
-        let lat = event.get("latency_ms").unwrap();
+        assert!(report.get("retries").and_then(JsonValue::as_u64).is_some());
+        assert!(report.get("gave_up").and_then(JsonValue::as_u64).is_some());
+        let lat = report.get("latency_ms").unwrap();
         assert!(lat.get("p50").and_then(JsonValue::as_f64).unwrap() > 0.0);
-        // Single-mode runs have no speedup field.
-        assert!(report.get("speedup_event_over_blocking").is_none());
+        // A report always passes against itself.
+        assert!(compare_with_baseline(&report, &report, 0.0).is_empty());
+    }
+
+    fn doc(nodes: u64, clients: u64, qps: f64, rtt: f64) -> JsonValue {
+        JsonValue::obj([
+            ("dataset", JsonValue::obj([("nodes", nodes.into())])),
+            (
+                "config",
+                JsonValue::obj([
+                    ("clients", clients.into()),
+                    ("duration_ms", 1500_u64.into()),
+                ]),
+            ),
+            ("qps", qps.into()),
+            ("idle_rtt_us_p50", rtt.into()),
+        ])
+    }
+
+    #[test]
+    fn baseline_gate_bounds_qps_and_idle_rtt() {
+        let base = doc(30, 8, 1000.0, 20.0);
+        assert!(compare_with_baseline(&doc(30, 8, 700.0, 29.0), &base, 0.5).is_empty());
+        let slow = compare_with_baseline(&doc(30, 8, 600.0, 20.0), &base, 0.5);
+        assert_eq!(slow.len(), 1, "{slow:?}");
+        assert!(slow[0].contains("qps"), "{slow:?}");
+        let laggy = compare_with_baseline(&doc(30, 8, 1000.0, 31.0), &base, 0.5);
+        assert_eq!(laggy.len(), 1, "{laggy:?}");
+        assert!(laggy[0].contains("round trip"), "{laggy:?}");
+        // Another workload: QPS is not comparable, the idle round trip
+        // still is.
+        assert!(compare_with_baseline(&doc(99, 8, 10.0, 20.0), &base, 0.5).is_empty());
+        assert!(compare_with_baseline(&doc(30, 16, 10.0, 20.0), &base, 0.5).is_empty());
+        assert_eq!(
+            compare_with_baseline(&doc(99, 8, 10.0, 99.0), &base, 0.5).len(),
+            1
+        );
     }
 }

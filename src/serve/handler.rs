@@ -20,7 +20,6 @@ use crate::json::JsonValue;
 use crate::serve::protocol::{ErrorCode, Request, WireError};
 use crate::serve::recovery::{self, JournalState};
 use crate::serve::registry::{Dataset, Registry, ResolveError};
-use crate::serve::IoMode;
 use crate::shard::{ShardPlan, ShardRouter};
 
 use std::sync::Arc;
@@ -39,13 +38,15 @@ pub struct ServerContext {
     pub journals: Mutex<HashMap<String, JournalState>>,
     /// When the server started (for `uptime_ms`).
     pub started: Instant,
-    /// Worker pool size (reported by `stats`).
+    /// Worker pool size, which is also how many requests run at once
+    /// (reported by `stats`).
     pub threads: usize,
-    /// Which I/O layer is serving (reported by `stats`).
-    pub io: IoMode,
-    /// Resolved backpressure-queue capacity: waiting request lines
-    /// (event mode) or waiting connections (blocking mode).
+    /// Resolved request-queue capacity: admitted request lines waiting
+    /// for a worker, past which a line is answered `overloaded`.
     pub queue_capacity: usize,
+    /// Open connections allowed; past it a new connection is answered
+    /// `overloaded` and closed.
+    pub max_connections: usize,
     /// Deadline applied to queries that do not carry their own
     /// `deadline_ms`; `0` means unlimited.
     pub default_deadline_ms: u64,
@@ -57,11 +58,11 @@ pub struct ServerContext {
     pub open_connections: AtomicU64,
     /// Total request lines processed (including failures).
     pub requests: AtomicU64,
-    /// Requests (event mode) or connections (blocking mode) sitting in
-    /// the backpressure queue right now, not yet picked up by a worker.
+    /// Request lines sitting in the request queue right now, not yet
+    /// picked up by a worker.
     pub queued_requests: AtomicU64,
-    /// Total requests/connections answered `overloaded` because that
-    /// queue was full.
+    /// Total request lines answered `overloaded` because the request
+    /// queue was full, plus connections refused at the connection cap.
     pub overloaded: AtomicU64,
     /// Request handlers that panicked and were answered with
     /// `internal_error` instead of killing the worker or connection.
@@ -80,8 +81,8 @@ impl ServerContext {
             journals: Mutex::new(HashMap::new()),
             started: Instant::now(),
             threads,
-            io: IoMode::Event,
             queue_capacity: 0,
+            max_connections: 0,
             default_deadline_ms,
             max_request_bytes: 1 << 20,
             connections: AtomicU64::new(0),
@@ -118,8 +119,8 @@ pub fn handle(
     received: Instant,
 ) -> Result<JsonValue, WireError> {
     // Crash/panic injection for the robustness batteries: the panic
-    // action exercises the per-request `catch_unwind` isolation in both
-    // I/O layers; crash exercises recovery from an unflushed death. The
+    // action exercises the per-request `catch_unwind` isolation;
+    // crash exercises recovery from an unflushed death. The
     // request id lets a spec target one request (`@id=…`).
     let id = match req.id.as_str() {
         Some(id) => std::borrow::Cow::Borrowed(id),
@@ -240,7 +241,6 @@ fn stats(ctx: &ServerContext, req: &Request) -> Result<JsonValue, WireError> {
         (
             "server",
             JsonValue::obj([
-                ("io", ctx.io.as_str().into()),
                 (
                     "open_connections",
                     ctx.open_connections.load(Ordering::Relaxed).into(),
@@ -250,6 +250,7 @@ fn stats(ctx: &ServerContext, req: &Request) -> Result<JsonValue, WireError> {
                     ctx.queued_requests.load(Ordering::Relaxed).into(),
                 ),
                 ("queue_capacity", ctx.queue_capacity.into()),
+                ("max_connections", ctx.max_connections.into()),
                 ("overloaded", ctx.overloaded.load(Ordering::Relaxed).into()),
                 ("panics", ctx.panics.load(Ordering::Relaxed).into()),
                 ("journaling", ctx.journal_dir.is_some().into()),

@@ -8,13 +8,14 @@
 //! [`kor_core::KorEngine`], and a fixed pool of worker threads answers
 //! requests against them over plain TCP.
 //!
-//! Two I/O layers speak the same protocol (selectable via
-//! [`ServeConfig::io`]): the default [`IoMode::Event`] layer
-//! multiplexes every connection through one readiness-driven reactor
-//! thread (`event`), supporting keep-alive and pipelining with
-//! per-request overload backpressure, while [`IoMode::Blocking`]
-//! (`pool`) parks one worker per connection — kept as the comparison
-//! baseline `kor loadtest` measures against.
+//! One I/O layer (`conn`) carries bytes: a blocking accept thread, and
+//! one blocking reader thread per connection that frames request lines
+//! and either runs a lone request itself (when the server is idle) or
+//! queues it for the worker pool. The response goes out through the
+//! connection's in-order writer.
+//! Connections are kept alive and may pipeline; backpressure is per
+//! request (`overloaded` in the request's own pipeline slot) plus a cap
+//! on open connections.
 //!
 //! The wire protocol is newline-delimited JSON — one request object per
 //! line, one response per line, in order. Supported methods: `query`
@@ -65,9 +66,8 @@
 //! handle.shutdown();
 //! ```
 
-mod event;
+mod conn;
 mod handler;
-mod pool;
 pub mod protocol;
 pub mod recovery;
 pub mod registry;
@@ -75,57 +75,11 @@ pub mod registry;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use handler::ServerContext;
-use pool::{ConnQueue, PushRefused, QUEUE_DEPTH_PER_WORKER};
 use registry::Registry;
-
-/// Which I/O layer carries bytes between sockets and the worker pool.
-///
-/// Both layers speak the identical wire protocol — the e2e suites prove
-/// responses byte-identical between them — but they scale differently:
-/// [`IoMode::Event`] multiplexes every connection through one reactor
-/// thread, so workers only ever run requests and idle keep-alive
-/// connections cost nothing; [`IoMode::Blocking`] parks one worker per
-/// connection for its whole lifetime. Blocking is kept as the
-/// comparison baseline `kor loadtest` measures against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoMode {
-    /// Readiness-driven: one non-blocking reactor thread owns all
-    /// sockets; workers handle individual requests. The default.
-    Event,
-    /// One worker thread per in-flight connection (the pre-event
-    /// implementation); excess connections wait in an accept queue.
-    Blocking,
-}
-
-impl IoMode {
-    /// The CLI / stats spelling: `event` or `blocking`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IoMode::Event => "event",
-            IoMode::Blocking => "blocking",
-        }
-    }
-}
-
-impl std::str::FromStr for IoMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<IoMode, String> {
-        match s {
-            "event" => Ok(IoMode::Event),
-            "blocking" => Ok(IoMode::Blocking),
-            other => Err(format!(
-                "unknown io mode {other:?} (expected event or blocking)"
-            )),
-        }
-    }
-}
 
 /// Configuration for [`Server::bind`].
 #[derive(Debug, Clone, PartialEq)]
@@ -133,17 +87,13 @@ pub struct ServeConfig {
     /// Listen address, e.g. `127.0.0.1:7878`; port `0` picks an
     /// ephemeral port (see [`Server::local_addr`]).
     pub addr: String,
-    /// Worker pool size; `0` means one worker per available core. In
-    /// blocking mode this also bounds the number of concurrently
-    /// served connections; in event mode it bounds concurrently
-    /// *executing* requests only.
+    /// Worker pool size; `0` means one worker per available core. It
+    /// bounds concurrently *executing* requests (on workers and readers
+    /// together), and sets the cap on open connections: 32 per worker.
     pub threads: usize,
-    /// I/O layer; see [`IoMode`].
-    pub io: IoMode,
-    /// Backpressure-queue capacity — waiting request lines (event
-    /// mode) or waiting connections (blocking mode) past which the
-    /// server answers `overloaded`. `0` means auto: `threads × 16` in
-    /// event mode, `threads × 4` in blocking mode.
+    /// Request-queue capacity — admitted request lines waiting for a
+    /// worker, past which a line is answered `overloaded`. `0` means
+    /// auto: `threads × 16`.
     pub queue_capacity: usize,
     /// Deadline in milliseconds applied to `query` requests that carry
     /// no `deadline_ms` of their own; `0` means unlimited.
@@ -160,13 +110,12 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// Localhost port 7878, event I/O, auto-sized pool and queue, no
-    /// default deadline, 1 MiB request cap.
+    /// Localhost port 7878, auto-sized pool and queue, no default
+    /// deadline, 1 MiB request cap.
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:7878".to_string(),
             threads: 0,
-            io: IoMode::Event,
             queue_capacity: 0,
             default_deadline_ms: 0,
             max_request_bytes: 1 << 20,
@@ -196,19 +145,13 @@ impl Server {
         };
         let mut ctx = ServerContext::new(threads, config.default_deadline_ms);
         ctx.max_request_bytes = config.max_request_bytes;
-        ctx.io = config.io;
         ctx.journal_dir = config.journal;
         ctx.queue_capacity = if config.queue_capacity > 0 {
             config.queue_capacity
         } else {
-            match config.io {
-                // Event workers turn over per request, not per
-                // connection, so the queue can afford to be deeper
-                // before a queued request waits unreasonably long.
-                IoMode::Event => threads * 16,
-                IoMode::Blocking => threads * QUEUE_DEPTH_PER_WORKER,
-            }
+            threads * 16
         };
+        ctx.max_connections = threads * conn::CONNECTIONS_PER_WORKER;
         Ok(Server {
             listener,
             addr,
@@ -262,146 +205,25 @@ impl Server {
         }
     }
 
-    /// Spawns the I/O and worker threads and returns a handle for
+    /// Spawns the accept and worker threads and returns a handle for
     /// shutdown/join.
     pub fn start(self) -> ServerHandle {
-        match self.ctx.io {
-            IoMode::Event => self.start_event(),
-            IoMode::Blocking => self.start_blocking(),
-        }
-    }
-
-    /// Event mode: one reactor thread multiplexes every socket; workers
-    /// execute individual requests from a bounded job queue.
-    fn start_event(self) -> ServerHandle {
-        let queue = Arc::new(event::JobQueue::new(self.ctx.queue_capacity));
-        let bus = Arc::new(event::CompletionBus::new());
-        let mut workers = Vec::with_capacity(self.ctx.threads);
-        for _ in 0..self.ctx.threads {
-            let queue = Arc::clone(&queue);
-            let bus = Arc::clone(&bus);
-            let ctx = Arc::clone(&self.ctx);
-            workers.push(std::thread::spawn(move || {
-                event::worker_loop(&queue, &bus, &ctx)
-            }));
-        }
-        let ctx = Arc::clone(&self.ctx);
+        let io = Arc::new(conn::Io::new(Arc::clone(&self.ctx), self.addr));
+        let workers = (0..self.ctx.threads)
+            .map(|_| {
+                let io = Arc::clone(&io);
+                std::thread::spawn(move || conn::worker_loop(&io))
+            })
+            .collect();
+        let accept_io = Arc::clone(&io);
         let listener = self.listener;
-        let reactor_thread = std::thread::spawn(move || event::run(listener, ctx, queue, bus));
+        let accept_thread = std::thread::spawn(move || conn::accept_loop(&accept_io, listener));
         ServerHandle {
             addr: self.addr,
             ctx: self.ctx,
+            io,
             workers,
-            listener_thread: reactor_thread,
-        }
-    }
-
-    /// Blocking mode: the listener queues whole connections; each
-    /// worker serves one connection to completion.
-    fn start_blocking(self) -> ServerHandle {
-        let queue = Arc::new(ConnQueue::new(self.ctx.queue_capacity));
-        let mut workers = Vec::with_capacity(self.ctx.threads);
-        for _ in 0..self.ctx.threads {
-            let queue = Arc::clone(&queue);
-            let ctx = Arc::clone(&self.ctx);
-            workers.push(std::thread::spawn(move || pool::worker_loop(&queue, &ctx)));
-        }
-        let ctx = Arc::clone(&self.ctx);
-        let listener = self.listener;
-        let accept_queue = Arc::clone(&queue);
-        let listener_thread = std::thread::spawn(move || {
-            // Non-blocking accept with a short poll keeps the loop
-            // responsive to the shutdown latch without a self-connect
-            // dance; pending connections are drained before sleeping.
-            let _ = listener.set_nonblocking(true);
-            loop {
-                if ctx.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
-                        let _ = stream.set_nodelay(true);
-                        ctx.connections.fetch_add(1, Ordering::Relaxed);
-                        // Count before the push: the push wakes a
-                        // worker whose matching decrement must not be
-                        // able to outrun this increment.
-                        ctx.open_connections.fetch_add(1, Ordering::Relaxed);
-                        ctx.queued_requests.fetch_add(1, Ordering::Relaxed);
-                        match accept_queue.push(stream) {
-                            Ok(()) => {}
-                            // Backpressure: every worker is busy and
-                            // the wait queue is at capacity. Tell the
-                            // client and hang up instead of letting
-                            // open fds (and client patience) grow
-                            // without bound.
-                            Err(PushRefused::Full(mut stream)) => {
-                                ctx.open_connections.fetch_sub(1, Ordering::Relaxed);
-                                ctx.queued_requests.fetch_sub(1, Ordering::Relaxed);
-                                ctx.overloaded.fetch_add(1, Ordering::Relaxed);
-                                let err = protocol::WireError::new(
-                                    protocol::ErrorCode::Overloaded,
-                                    "all workers busy and the connection queue is full; \
-                                     retry later",
-                                );
-                                let line =
-                                    protocol::error_response(&crate::json::JsonValue::Null, &err);
-                                // Dropping a socket with unread client
-                                // data pending turns the close into an
-                                // RST, which would discard this
-                                // response before the client reads it.
-                                // Half-close, then briefly drain what
-                                // the client already sent (typically
-                                // one pipelined request line) so the
-                                // line is delivered over an orderly
-                                // FIN. Delivery is best-effort: the
-                                // drain is hard-bounded because it runs
-                                // on the listener thread, so a peer
-                                // that trickles bytes stalls accepts
-                                // ~100 ms at most, and one that
-                                // pipelines more than the drain budget
-                                // may still see a reset — acceptable
-                                // for a path that only exists when the
-                                // server is already saturated (slower
-                                // accepts ARE the backpressure).
-                                if pool::write_line(&mut stream, &line).is_ok() {
-                                    use std::io::Read;
-                                    let _ = stream.shutdown(std::net::Shutdown::Write);
-                                    let _ =
-                                        stream.set_read_timeout(Some(Duration::from_millis(25)));
-                                    let mut sink = [0u8; 4096];
-                                    for _ in 0..4 {
-                                        match stream.read(&mut sink) {
-                                            Ok(0) | Err(_) => break,
-                                            Ok(_) => {}
-                                        }
-                                    }
-                                }
-                            }
-                            Err(PushRefused::Closed) => {
-                                ctx.open_connections.fetch_sub(1, Ordering::Relaxed);
-                                ctx.queued_requests.fetch_sub(1, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                    // Back off on any error: WouldBlock is the idle
-                    // case, but persistent failures (e.g. EMFILE when
-                    // the fd limit is hit under a connection burst)
-                    // must not hot-spin the listener against the
-                    // workers it is feeding.
-                    Err(_) => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                }
-            }
-            accept_queue.close();
-        });
-        ServerHandle {
-            addr: self.addr,
-            ctx: self.ctx,
-            workers,
-            listener_thread,
+            accept_thread,
         }
     }
 
@@ -416,8 +238,9 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     ctx: Arc<ServerContext>,
+    io: Arc<conn::Io>,
     workers: Vec<JoinHandle<()>>,
-    listener_thread: JoinHandle<()>,
+    accept_thread: JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -426,11 +249,12 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Requests shutdown and waits for the listener and every worker to
-    /// finish. Connections already being served run to completion
-    /// (their clients must close for workers to finish).
+    /// Requests shutdown and waits until the server stopped: accepting
+    /// ends, every admitted request is answered (bounded by a drain
+    /// grace period), idle connections are closed, and the workers
+    /// exit.
     pub fn shutdown(self) {
-        self.ctx.shutdown.store(true, Ordering::SeqCst);
+        self.io.stop();
         self.join();
     }
 
@@ -438,7 +262,7 @@ impl ServerHandle {
     /// another thread: [`ServerHandle::shutdown`]) or a `shutdown`
     /// request over the wire.
     pub fn join(self) {
-        let _ = self.listener_thread.join();
+        let _ = self.accept_thread.join();
         for w in self.workers {
             let _ = w.join();
         }
@@ -458,12 +282,12 @@ mod tests {
     use kor_graph::fixtures::figure1;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
+    use std::time::{Duration, Instant};
 
-    fn fixture_server_mode(threads: usize, io: IoMode) -> (SocketAddr, ServerHandle) {
+    fn fixture_server(threads: usize) -> (SocketAddr, ServerHandle) {
         let server = Server::bind(ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             threads,
-            io,
             ..ServeConfig::default()
         })
         .unwrap();
@@ -472,10 +296,6 @@ mod tests {
             .insert(Dataset::from_graph("fig1", figure1()));
         let addr = server.local_addr();
         (addr, server.start())
-    }
-
-    fn fixture_server(threads: usize) -> (SocketAddr, ServerHandle) {
-        fixture_server_mode(threads, IoMode::Event)
     }
 
     fn roundtrip(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
@@ -496,49 +316,40 @@ mod tests {
 
     #[test]
     fn concurrent_identical_queries_get_identical_bytes() {
-        // Across threads AND across I/O modes: the event rewrite must
-        // not change a single response byte.
-        let mut per_mode = Vec::new();
-        for io in [IoMode::Event, IoMode::Blocking] {
-            let (addr, handle) = fixture_server_mode(3, io);
-            let line = r#"{"id":9,"method":"query","params":{"from":0,"to":7,"keywords":["t1","t2"],"budget":10,"algo":"os-scaling"}}"#;
-            let mut threads = Vec::new();
-            for _ in 0..8 {
-                threads.push(std::thread::spawn(move || {
-                    roundtrip(addr, &[line]).remove(0)
-                }));
-            }
-            let responses: Vec<String> = threads.into_iter().map(|t| t.join().unwrap()).collect();
-            for r in &responses {
-                assert_eq!(r, &responses[0], "responses must be byte-identical");
-            }
-            let parsed = JsonValue::parse(&responses[0]).unwrap();
-            assert_eq!(parsed.get("ok").and_then(JsonValue::as_bool), Some(true));
-            handle.shutdown();
-            per_mode.push(responses[0].clone());
+        let (addr, handle) = fixture_server(3);
+        let line = r#"{"id":9,"method":"query","params":{"from":0,"to":7,"keywords":["t1","t2"],"budget":10,"algo":"os-scaling"}}"#;
+        let mut threads = Vec::new();
+        for _ in 0..8 {
+            threads.push(std::thread::spawn(move || {
+                roundtrip(addr, &[line]).remove(0)
+            }));
         }
-        assert_eq!(per_mode[0], per_mode[1], "event vs blocking bytes");
+        let responses: Vec<String> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        for r in &responses {
+            assert_eq!(r, &responses[0], "responses must be byte-identical");
+        }
+        let parsed = JsonValue::parse(&responses[0]).unwrap();
+        assert_eq!(parsed.get("ok").and_then(JsonValue::as_bool), Some(true));
+        handle.shutdown();
     }
 
     #[test]
     fn pipelined_requests_answer_in_order() {
-        for io in [IoMode::Event, IoMode::Blocking] {
-            let (addr, handle) = fixture_server_mode(1, io);
-            let responses = roundtrip(
-                addr,
-                &[
-                    r#"{"id":1,"method":"health"}"#,
-                    r#"{"id":2,"method":"stats"}"#,
-                    "garbage",
-                    r#"{"id":4,"method":"query","params":{"from":0,"to":7,"budget":10}}"#,
-                ],
-            );
-            assert!(responses[0].starts_with(r#"{"id":1,"ok":true"#));
-            assert!(responses[1].starts_with(r#"{"id":2,"ok":true"#));
-            assert!(responses[2].contains("parse_error"));
-            assert!(responses[3].starts_with(r#"{"id":4,"ok":true"#));
-            handle.shutdown();
-        }
+        let (addr, handle) = fixture_server(1);
+        let responses = roundtrip(
+            addr,
+            &[
+                r#"{"id":1,"method":"health"}"#,
+                r#"{"id":2,"method":"stats"}"#,
+                "garbage",
+                r#"{"id":4,"method":"query","params":{"from":0,"to":7,"budget":10}}"#,
+            ],
+        );
+        assert!(responses[0].starts_with(r#"{"id":1,"ok":true"#));
+        assert!(responses[1].starts_with(r#"{"id":2,"ok":true"#));
+        assert!(responses[2].contains("parse_error"));
+        assert!(responses[3].starts_with(r#"{"id":4,"ok":true"#));
+        handle.shutdown();
     }
 
     #[test]
@@ -563,61 +374,55 @@ mod tests {
 
     #[test]
     fn oversized_request_is_rejected_and_connection_closed() {
-        for io in [IoMode::Event, IoMode::Blocking] {
-            let server = Server::bind(ServeConfig {
-                addr: "127.0.0.1:0".to_string(),
-                threads: 1,
-                io,
-                max_request_bytes: 64,
-                ..ServeConfig::default()
-            })
-            .unwrap();
-            let addr = server.local_addr();
-            let handle = server.start();
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            threads: 1,
+            max_request_bytes: 64,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = server.local_addr();
+        let handle = server.start();
 
-            let mut conn = TcpStream::connect(addr).unwrap();
-            conn.set_read_timeout(Some(Duration::from_secs(30)))
-                .unwrap();
-            let big = format!("{{\"method\":\"health\",\"id\":\"{}\"}}\n", "x".repeat(200));
-            conn.write_all(big.as_bytes()).unwrap();
-            let mut reader = BufReader::new(conn.try_clone().unwrap());
-            let mut resp = String::new();
-            reader.read_line(&mut resp).unwrap();
-            assert!(resp.contains("request_too_large"), "{resp}");
-            // The server hangs up after the error.
-            let mut next = String::new();
-            assert_eq!(reader.read_line(&mut next).unwrap(), 0);
-            handle.shutdown();
-        }
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let big = format!("{{\"method\":\"health\",\"id\":\"{}\"}}\n", "x".repeat(200));
+        conn.write_all(big.as_bytes()).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        assert!(resp.contains("request_too_large"), "{resp}");
+        // The server hangs up after the error.
+        let mut next = String::new();
+        assert_eq!(reader.read_line(&mut next).unwrap(), 0);
+        handle.shutdown();
     }
 
+    /// Past the connection cap (32 per worker) a new connection gets one
+    /// well-formed `overloaded` line and end of stream; once connections
+    /// close, the server serves normally again.
     #[test]
     fn connection_burst_past_queue_capacity_gets_overloaded() {
-        // Connection-level overload is the *blocking* layer's contract;
-        // the event layer keeps connections and answers per-request
-        // `overloaded` instead (tests/serve_overload.rs).
-        let (addr, handle) = fixture_server_mode(1, IoMode::Blocking);
-        // Occupy the single worker: a completed round trip proves it
-        // has popped this connection and is now serving it.
-        let busy = TcpStream::connect(addr).unwrap();
-        {
-            let mut conn = busy.try_clone().unwrap();
-            conn.set_read_timeout(Some(Duration::from_secs(30)))
-                .unwrap();
-            conn.write_all(b"{\"method\":\"health\"}\n").unwrap();
-            let mut resp = String::new();
-            BufReader::new(conn).read_line(&mut resp).unwrap();
-            assert!(resp.contains("\"ok\":true"), "{resp}");
-        }
-        // Fill the wait queue (QUEUE_DEPTH_PER_WORKER per worker)...
-        let queued: Vec<TcpStream> = (0..QUEUE_DEPTH_PER_WORKER)
-            .map(|_| TcpStream::connect(addr).unwrap())
+        let (addr, handle) = fixture_server(1);
+        let cap = conn::CONNECTIONS_PER_WORKER;
+        // A completed round trip proves each connection is open.
+        let open: Vec<(TcpStream, BufReader<TcpStream>)> = (0..cap)
+            .map(|i| {
+                let mut conn = TcpStream::connect(addr).unwrap();
+                conn.set_read_timeout(Some(Duration::from_secs(30)))
+                    .unwrap();
+                let mut reader = BufReader::new(conn.try_clone().unwrap());
+                conn.write_all(b"{\"method\":\"health\"}\n").unwrap();
+                let mut resp = String::new();
+                reader.read_line(&mut resp).unwrap();
+                assert!(resp.contains("\"ok\":true"), "connection {i}: {resp}");
+                (conn, reader)
+            })
             .collect();
-        // ...then one more: the listener must answer `overloaded` and
-        // hang up rather than queue it indefinitely. This client uses
-        // the realistic write-then-read pattern: its unread request
-        // must not turn the server's close into an RST that discards
-        // the overloaded response.
+        // One more, with the realistic write-then-read pattern: its
+        // unread request must not turn the server's close into a reset
+        // that discards the `overloaded` response.
         let mut extra = TcpStream::connect(addr).unwrap();
         extra
             .set_read_timeout(Some(Duration::from_secs(30)))
@@ -626,59 +431,75 @@ mod tests {
         let mut reader = BufReader::new(extra);
         let mut resp = String::new();
         reader.read_line(&mut resp).unwrap();
-        assert!(resp.contains("\"overloaded\""), "{resp}");
+        let v = JsonValue::parse(resp.trim_end()).expect("well-formed reply");
+        assert_eq!(
+            v.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(JsonValue::as_str),
+            Some("overloaded"),
+            "{resp}"
+        );
+        assert!(matches!(v.get("id"), Some(JsonValue::Null)));
         let mut next = String::new();
         assert_eq!(reader.read_line(&mut next).unwrap(), 0, "then hangs up");
-        drop(queued);
-        drop(busy);
+
+        // Free the slots; a new connection is served as soon as the
+        // server has closed them (polled, not slept on).
+        drop(open);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let resp = roundtrip(addr, &[r#"{"id":"again","method":"health"}"#]).remove(0);
+            if resp.starts_with(r#"{"id":"again","ok":true"#) {
+                break;
+            }
+            assert!(resp.contains("overloaded"), "{resp}");
+            assert!(Instant::now() < deadline, "the cap never freed up");
+            std::thread::yield_now();
+        }
         handle.shutdown();
     }
 
     #[test]
     fn shutdown_request_terminates_join() {
-        for io in [IoMode::Event, IoMode::Blocking] {
-            let (addr, handle) = fixture_server_mode(2, io);
-            let responses = roundtrip(addr, &[r#"{"id":"bye","method":"shutdown"}"#]);
-            assert!(
-                responses[0].contains("\"stopping\":true"),
-                "{}",
-                responses[0]
-            );
-            // join() returns because the wire request tripped the latch.
-            handle.join();
-        }
+        let (addr, handle) = fixture_server(2);
+        let responses = roundtrip(addr, &[r#"{"id":"bye","method":"shutdown"}"#]);
+        assert!(
+            responses[0].contains("\"stopping\":true"),
+            "{}",
+            responses[0]
+        );
+        // join() returns because the wire request tripped the latch.
+        handle.join();
     }
 
     #[test]
     fn stats_reports_server_io_section() {
-        for io in [IoMode::Event, IoMode::Blocking] {
-            let (addr, handle) = fixture_server_mode(2, io);
-            let responses = roundtrip(addr, &[r#"{"id":1,"method":"stats"}"#]);
-            let parsed = JsonValue::parse(&responses[0]).unwrap();
-            let server = parsed
-                .get("result")
-                .and_then(|r| r.get("server"))
-                .expect("server section");
-            assert_eq!(
-                server.get("io").and_then(JsonValue::as_str),
-                Some(io.as_str())
-            );
-            // This connection is open and its stats request is being
-            // handled right now (not queued).
-            assert_eq!(
-                server.get("open_connections").and_then(JsonValue::as_u64),
-                Some(1)
-            );
-            assert_eq!(
-                server.get("queued_requests").and_then(JsonValue::as_u64),
-                Some(0)
-            );
-            assert_eq!(
-                server.get("overloaded").and_then(JsonValue::as_u64),
-                Some(0)
-            );
-            assert!(server.get("queue_capacity").and_then(JsonValue::as_u64) > Some(0));
-            handle.shutdown();
-        }
+        let (addr, handle) = fixture_server(2);
+        let responses = roundtrip(addr, &[r#"{"id":1,"method":"stats"}"#]);
+        let parsed = JsonValue::parse(&responses[0]).unwrap();
+        let server = parsed
+            .get("result")
+            .and_then(|r| r.get("server"))
+            .expect("server section");
+        // This connection is open and its stats request is being
+        // handled right now (not queued).
+        assert_eq!(
+            server.get("open_connections").and_then(JsonValue::as_u64),
+            Some(1)
+        );
+        assert_eq!(
+            server.get("queued_requests").and_then(JsonValue::as_u64),
+            Some(0)
+        );
+        assert_eq!(
+            server.get("overloaded").and_then(JsonValue::as_u64),
+            Some(0)
+        );
+        assert!(server.get("queue_capacity").and_then(JsonValue::as_u64) > Some(0));
+        assert_eq!(
+            server.get("max_connections").and_then(JsonValue::as_u64),
+            Some(2 * conn::CONNECTIONS_PER_WORKER as u64)
+        );
+        handle.shutdown();
     }
 }

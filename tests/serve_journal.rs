@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use kor::json::JsonValue;
 use kor::prelude::*;
-use kor::serve::{IoMode, ServeConfig, Server, ServerHandle};
+use kor::serve::{ServeConfig, Server, ServerHandle};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("kor-serve-journal-{tag}-{}", std::process::id()));
@@ -30,11 +30,10 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn start_journaled(io: IoMode, journal: &Path, world_path: &Path) -> (SocketAddr, ServerHandle) {
+fn start_journaled(journal: &Path, world_path: &Path) -> (SocketAddr, ServerHandle) {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
-        io,
         queue_capacity: 256,
         journal: Some(journal.to_path_buf()),
         ..ServeConfig::default()
@@ -107,14 +106,14 @@ fn query_line(world: &Snapshot, i: usize) -> String {
     )
 }
 
-fn restart_battery(io: IoMode, tag: &str) {
+fn restart_battery(tag: &str) {
     let dir = temp_dir(tag);
     let world = generate_world(&GenConfig::grid(6, 5, 3));
     let world_path = dir.join("world.korbin");
     write_snapshot(&world_path, &world).unwrap();
     let jdir = dir.join("journal");
 
-    let (addr, handle) = start_journaled(io, &jdir, &world_path);
+    let (addr, handle) = start_journaled(&jdir, &world_path);
     let (mut conn, mut reader) = connect(addr);
 
     // Three acknowledged, journaled batches.
@@ -161,7 +160,7 @@ fn restart_battery(io: IoMode, tag: &str) {
 
     // A cold server on the same journal directory: recovery replays the
     // three batches and every answer is byte-identical.
-    let (addr, handle) = start_journaled(io, &jdir, &world_path);
+    let (addr, handle) = start_journaled(&jdir, &world_path);
     let (mut conn, mut reader) = connect(addr);
     let stats = roundtrip(&mut conn, &mut reader, r#"{"id":"s","method":"stats"}"#);
     let ds = &stats
@@ -193,12 +192,7 @@ fn restart_battery(io: IoMode, tag: &str) {
 
 #[test]
 fn journaled_mutations_survive_a_restart_event_io() {
-    restart_battery(IoMode::Event, "restart-event");
-}
-
-#[test]
-fn journaled_mutations_survive_a_restart_blocking_io() {
-    restart_battery(IoMode::Blocking, "restart-blocking");
+    restart_battery("restart");
 }
 
 /// `update_edges` racing `load_dataset` on the same name, under
@@ -212,12 +206,15 @@ fn update_edges_racing_load_dataset_keeps_epochs_monotone() {
     write_snapshot(&world_path, &world).unwrap();
     let jdir = dir.join("journal");
 
-    let (addr, handle) = start_journaled(IoMode::Event, &jdir, &world_path);
+    let (addr, handle) = start_journaled(&jdir, &world_path);
 
     const BATCHES: u64 = 12;
     let done = std::sync::atomic::AtomicBool::new(false);
+    // Completed reloads, so the mutator can wait for one between batches.
+    let reloads = std::sync::atomic::AtomicU64::new(0);
     std::thread::scope(|scope| {
         let done = &done;
+        let reloads = &reloads;
         let world = &world;
         let world_path = &world_path;
 
@@ -262,6 +259,9 @@ fn update_edges_racing_load_dataset_keeps_epochs_monotone() {
                 assert!(recovered <= BATCHES);
                 last_recovered = recovered;
                 loads += 1;
+                reloads.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                // Pacing, not a wait: keeps back-to-back reloads from
+                // crowding the queries and batches out of the workers.
                 std::thread::sleep(Duration::from_millis(3));
             }
             loads
@@ -285,7 +285,13 @@ fn update_edges_racing_load_dataset_keeps_epochs_monotone() {
                 "epoch must be strictly monotone: {epoch} after {last_epoch}"
             );
             last_epoch = epoch;
-            std::thread::sleep(Duration::from_millis(5));
+            // Let at least one reload race in before the next batch.
+            let seen = reloads.load(std::sync::atomic::Ordering::Relaxed);
+            let deadline = std::time::Instant::now() + Duration::from_secs(30);
+            while reloads.load(std::sync::atomic::Ordering::Relaxed) == seen {
+                assert!(std::time::Instant::now() < deadline, "no reload completed");
+                std::thread::yield_now();
+            }
         }
         assert_eq!(last_epoch, BATCHES, "every batch advanced the epoch once");
 

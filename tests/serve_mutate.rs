@@ -1,4 +1,4 @@
-//! `update_edges` over real sockets, in both I/O modes.
+//! `update_edges` over real sockets.
 //!
 //! The dynamic-world serve battery: a live dataset is mutated
 //! mid-stream on an open pipelined connection, while concurrent
@@ -20,13 +20,12 @@ use std::time::Duration;
 use kor::json::JsonValue;
 use kor::prelude::*;
 use kor::serve::registry::Dataset;
-use kor::serve::{IoMode, ServeConfig, Server, ServerHandle};
+use kor::serve::{ServeConfig, Server, ServerHandle};
 
-fn start_server(io: IoMode, dataset: Dataset) -> (SocketAddr, ServerHandle) {
+fn start_server(dataset: Dataset) -> (SocketAddr, ServerHandle) {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
-        io,
         queue_capacity: 256,
         ..ServeConfig::default()
     })
@@ -109,11 +108,8 @@ fn wire_answer(resp: &JsonValue) -> Option<(Vec<u64>, u64, u64)> {
     ))
 }
 
-fn mutate_battery(io: IoMode) {
-    let (addr, handle) = start_server(
-        io,
-        Dataset::from_graph("fig1", kor::graph::fixtures::figure1()),
-    );
+fn mutate_battery() {
+    let (addr, handle) = start_server(Dataset::from_graph("fig1", kor::graph::fixtures::figure1()));
     let (mut conn, mut reader) = connect(addr);
 
     // Pipeline three requests in one write: query, mutation, query. The
@@ -186,12 +182,7 @@ fn mutate_battery(io: IoMode) {
 
 #[test]
 fn update_edges_is_atomic_midstream_event_io() {
-    mutate_battery(IoMode::Event);
-}
-
-#[test]
-fn update_edges_is_atomic_midstream_blocking_io() {
-    mutate_battery(IoMode::Blocking);
+    mutate_battery();
 }
 
 /// Concurrent clients hammer queries while the main thread flips an
@@ -201,10 +192,7 @@ fn update_edges_is_atomic_midstream_blocking_io() {
 /// any mix) cannot produce that.
 #[test]
 fn concurrent_queries_never_observe_a_torn_graph() {
-    let (addr, handle) = start_server(
-        IoMode::Event,
-        Dataset::from_graph("fig1", kor::graph::fixtures::figure1()),
-    );
+    let (addr, handle) = start_server(Dataset::from_graph("fig1", kor::graph::fixtures::figure1()));
 
     // One expected answer per epoch, from cold engines on the exact
     // cumulative mutation sequence the server will apply. Alternating
@@ -233,8 +221,11 @@ fn concurrent_queries_never_observe_a_torn_graph() {
         "the mutation must change the answer or the check is vacuous"
     );
     let done = std::sync::atomic::AtomicBool::new(false);
+    // Highest epoch any querier has been answered on.
+    let seen = std::sync::atomic::AtomicU64::new(0);
     std::thread::scope(|scope| {
         let done = &done;
+        let seen = &seen;
         let expected = &expected;
         let mut workers = Vec::new();
         for _ in 0..3 {
@@ -253,6 +244,7 @@ fn concurrent_queries_never_observe_a_torn_graph() {
                         expected[epoch as usize],
                         "epoch {epoch}: answer does not match that epoch's graph"
                     );
+                    seen.fetch_max(epoch, std::sync::atomic::Ordering::Relaxed);
                     checked += 1;
                 }
                 checked
@@ -275,7 +267,16 @@ fn concurrent_queries_never_observe_a_torn_graph() {
                 result_field(&resp, "epoch").and_then(JsonValue::as_u64),
                 Some(i + 1)
             );
-            std::thread::sleep(Duration::from_millis(10));
+            // Every epoch is queried before the next mutation lands.
+            let deadline = std::time::Instant::now() + Duration::from_secs(30);
+            while seen.load(std::sync::atomic::Ordering::Relaxed) < i + 1 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "no query answered on epoch {}",
+                    i + 1
+                );
+                std::thread::yield_now();
+            }
         }
         done.store(true, std::sync::atomic::Ordering::Relaxed);
         let total: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
@@ -294,7 +295,7 @@ fn sharded_dataset_degrades_to_fused_only_over_the_wire() {
     let assignment = info.assignment.clone();
     world.sharding = Some(info);
     let graph = world.graph.clone();
-    let (addr, handle) = start_server(IoMode::Event, Dataset::from_snapshot("world", world));
+    let (addr, handle) = start_server(Dataset::from_snapshot("world", world));
     let (mut conn, mut reader) = connect(addr);
 
     let fused_only = |conn: &mut TcpStream, reader: &mut BufReader<TcpStream>| -> bool {

@@ -1,19 +1,19 @@
-//! Backpressure tests for the event-driven I/O layer: saturating the
-//! job queue must yield well-formed `overloaded` error responses (in
+//! Backpressure tests for the serve I/O layer: saturating the
+//! request queue must yield well-formed `overloaded` error responses (in
 //! their proper pipeline slots), count them in `stats`, and leave the
 //! server fully serviceable afterwards — and churning connections must
 //! not leak file descriptors.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use kor::data::{generate_world, GenConfig};
 use kor::graph::fixtures::figure1;
 use kor::graph::KeywordId;
 use kor::json::JsonValue;
 use kor::serve::registry::Dataset;
-use kor::serve::{IoMode, ServeConfig, Server};
+use kor::serve::{ServeConfig, Server};
 
 fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
     let conn = TcpStream::connect(addr).expect("connect");
@@ -35,17 +35,18 @@ fn error_code(v: &JsonValue) -> Option<&str> {
         .and_then(JsonValue::as_str)
 }
 
-/// One worker, a one-slot queue, and a worker pinned down by an exact
-/// search that runs to its deadline: a 40-request burst must get
-/// exactly one real answer (the queued slot) and 39 well-formed
-/// `overloaded` errors — then the server must recover completely.
+/// One worker, a one-slot queue, and the one execution slot pinned
+/// down by an exact search that runs to its deadline: a 40-request
+/// burst must get exactly one real answer (the queued slot) and 39
+/// well-formed `overloaded` errors — then the server must recover
+/// completely.
 #[test]
 fn saturated_queue_answers_overloaded_and_recovers() {
     // A query hard enough that exact labeling cannot finish before the
     // deadline: the 12 rarest keywords with a near-threshold budget
     // keep the label search alive past 2 s even in release builds
     // (measured ~4 s unbounded), so the deadline — not the graph —
-    // decides how long the worker stays busy.
+    // decides how long the slot stays busy.
     let world = generate_world(&GenConfig::grid(30, 30, 99));
     let nodes = world.graph.node_count();
     let vlen = world.graph.vocab().len();
@@ -63,7 +64,6 @@ fn saturated_queue_answers_overloaded_and_recovers() {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 1,
-        io: IoMode::Event,
         queue_capacity: 1,
         ..ServeConfig::default()
     })
@@ -74,7 +74,7 @@ fn saturated_queue_answers_overloaded_and_recovers() {
     let addr = server.local_addr();
     let handle = server.start();
 
-    // Pin down the only worker for ~2 s.
+    // Pin down the only execution slot for ~2 s.
     let kw_json: Vec<String> = keywords.iter().map(|k| format!("\"{k}\"")).collect();
     let slow = format!(
         r#"{{"id":"slow","method":"query","params":{{"dataset":"grid","from":0,"to":{},"keywords":[{}],"budget":150,"algo":"exact","deadline_ms":2000}}}}"#,
@@ -84,7 +84,9 @@ fn saturated_queue_answers_overloaded_and_recovers() {
     let (mut busy_conn, mut busy_reader) = connect(addr);
     busy_conn.write_all(slow.as_bytes()).unwrap();
     busy_conn.write_all(b"\n").unwrap();
-    // Let the worker pop the slow job so the queue is empty but busy.
+    // Let the server start the slow job so the queue is empty but the
+    // slot busy. A sleep, not a poll: the only slot is about to be
+    // pinned, so nothing (not even `stats`) can report that it started.
     std::thread::sleep(Duration::from_millis(400));
 
     // Burst 40 quick requests: seq 0 takes the one queue slot, the
@@ -118,7 +120,7 @@ fn saturated_queue_answers_overloaded_and_recovers() {
     assert_eq!(served, 1);
     assert_eq!(overloaded, 39);
 
-    // The pinned worker ran to its deadline.
+    // The pinned search ran to its deadline.
     let slow_reply = read_json(&mut busy_reader);
     assert_eq!(error_code(&slow_reply), Some("deadline_exceeded"));
 
@@ -155,6 +157,29 @@ fn saturated_queue_answers_overloaded_and_recovers() {
     handle.shutdown();
 }
 
+/// Polls `stats.server.open_connections` on `stats` until it reads 1
+/// (the polling connection itself), under a bounded deadline.
+fn await_only_this_connection_open(stats: &mut (TcpStream, BufReader<TcpStream>)) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        stats.0.write_all(b"{\"method\":\"stats\"}\n").unwrap();
+        let open = read_json(&mut stats.1)
+            .get("result")
+            .and_then(|r| r.get("server"))
+            .and_then(|s| s.get("open_connections"))
+            .and_then(JsonValue::as_u64)
+            .expect("stats.server.open_connections");
+        if open == 1 {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{open} connections still open after 30 s"
+        );
+        std::thread::yield_now();
+    }
+}
+
 fn open_fd_count() -> usize {
     std::fs::read_dir("/proc/self/fd")
         .expect("proc fd dir")
@@ -162,14 +187,13 @@ fn open_fd_count() -> usize {
 }
 
 /// 100 connect/use/drop cycles (plus some mid-line abandons) must not
-/// leak file descriptors: the reactor has to reap every dead
-/// connection and return its slab slot.
+/// leak file descriptors: every dead connection's socket must be
+/// closed and its reader gone.
 #[test]
 fn connection_churn_does_not_leak_fds() {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
-        io: IoMode::Event,
         ..ServeConfig::default()
     })
     .expect("bind");
@@ -179,14 +203,15 @@ fn connection_churn_does_not_leak_fds() {
     let addr = server.local_addr();
     let handle = server.start();
 
-    // Warm up (lazy fds: epoll-free, but the first connection may still
-    // allocate) and take the baseline.
+    // Warm up (the first connections may still allocate) and take the
+    // baseline once the server reports only the stats connection open.
     for _ in 0..3 {
         let (mut conn, mut reader) = connect(addr);
         conn.write_all(b"{\"method\":\"health\"}\n").unwrap();
         read_json(&mut reader);
     }
-    std::thread::sleep(Duration::from_millis(100));
+    let mut stats = connect(addr);
+    await_only_this_connection_open(&mut stats);
     let before = open_fd_count();
 
     for cycle in 0..100 {
@@ -203,8 +228,8 @@ fn connection_churn_does_not_leak_fds() {
         drop(reader);
     }
 
-    // Give the reactor time to notice every hangup and reap.
-    std::thread::sleep(Duration::from_millis(500));
+    // Wait until the server has closed every churned connection.
+    await_only_this_connection_open(&mut stats);
     let after = open_fd_count();
     assert!(
         after <= before + 4,

@@ -1,23 +1,24 @@
-//! Pipelining and framing tests for `kor serve`, run against both I/O
-//! layers: N requests written in one burst must return N in-order
+//! Pipelining and framing tests for `kor serve`: N requests written in one burst must return N in-order
 //! responses byte-identical to the same requests sent
 //! one-connection-each, and a request line arriving in many TCP
-//! segments (including segments straddling the reactor's read-buffer
+//! segments (including segments straddling the server's read-chunk
 //! boundary) must parse identically to a single-segment arrival.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use kor::data::{generate_world, GenConfig};
 use kor::graph::fixtures::figure1;
+use kor::graph::KeywordId;
+use kor::json::JsonValue;
 use kor::serve::registry::Dataset;
-use kor::serve::{IoMode, ServeConfig, Server, ServerHandle};
+use kor::serve::{ServeConfig, Server, ServerHandle};
 
-fn fixture_server(io: IoMode, threads: usize) -> (SocketAddr, ServerHandle) {
+fn fixture_server(threads: usize) -> (SocketAddr, ServerHandle) {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads,
-        io,
         // Deep queue: these tests pin ordering and byte-equivalence,
         // not backpressure (tests/serve_overload.rs covers that), so
         // no burst here may ever be answered `overloaded`.
@@ -62,7 +63,7 @@ fn canned_lines() -> Vec<String> {
     ];
     // Pad to a depth that exercises reordering under a multi-worker
     // pool (quick errors complete before slow queries dispatched
-    // earlier; the reactor must still answer in request order).
+    // earlier; the server must still answer in request order).
     for i in 0..24 {
         lines.push(format!(
             r#"{{"id":{},"method":"query","params":{{"from":0,"to":7,"keywords":["t{}","t{}"],"budget":{},"algo":"os-scaling"}}}}"#,
@@ -104,43 +105,32 @@ fn one_burst(addr: SocketAddr, lines: &[String]) -> Vec<String> {
 
 #[test]
 fn pipelined_burst_equals_one_connection_each() {
-    for io in [IoMode::Event, IoMode::Blocking] {
-        let (addr, handle) = fixture_server(io, 4);
-        let lines = canned_lines();
-        let reference = one_each(addr, &lines);
-        let burst = one_burst(addr, &lines);
-        assert_eq!(
-            burst,
-            reference,
-            "[{}] pipelined burst must be byte-identical to one-connection-each",
-            io.as_str()
-        );
-        handle.shutdown();
-    }
+    let (addr, handle) = fixture_server(4);
+    let lines = canned_lines();
+    let reference = one_each(addr, &lines);
+    let burst = one_burst(addr, &lines);
+    assert_eq!(
+        burst, reference,
+        "pipelined burst must be byte-identical to one-connection-each"
+    );
+    handle.shutdown();
 }
 
 #[test]
 fn eight_concurrent_pipelined_clients_agree() {
-    for io in [IoMode::Event, IoMode::Blocking] {
-        let (addr, handle) = fixture_server(io, 4);
-        let lines = canned_lines();
-        let reference = one_each(addr, &lines);
-        let mut clients = Vec::new();
-        for _ in 0..8 {
-            let lines = lines.clone();
-            clients.push(std::thread::spawn(move || one_burst(addr, &lines)));
-        }
-        for client in clients {
-            let got = client.join().expect("client thread");
-            assert_eq!(
-                got,
-                reference,
-                "[{}] concurrent pipelined client diverged",
-                io.as_str()
-            );
-        }
-        handle.shutdown();
+    let (addr, handle) = fixture_server(4);
+    let lines = canned_lines();
+    let reference = one_each(addr, &lines);
+    let mut clients = Vec::new();
+    for _ in 0..8 {
+        let lines = lines.clone();
+        clients.push(std::thread::spawn(move || one_burst(addr, &lines)));
     }
+    for client in clients {
+        let got = client.join().expect("client thread");
+        assert_eq!(got, reference, "concurrent pipelined client diverged");
+    }
+    handle.shutdown();
 }
 
 /// Graceful drain: a query pipelined IN FRONT of `shutdown` — both in
@@ -150,130 +140,217 @@ fn eight_concurrent_pipelined_clients_agree() {
 /// graceful stop.
 #[test]
 fn pipelined_query_in_flight_at_shutdown_is_still_answered() {
-    for io in [IoMode::Event, IoMode::Blocking] {
-        let (addr, handle) = fixture_server(io, 2);
-        let query = r#"{"id":"last-query","method":"query","params":{"from":0,"to":7,"keywords":["t1","t2"],"budget":10,"algo":"os-scaling"}}"#;
-        // The reference answer, from a calm server.
-        let reference = {
-            let (mut conn, mut reader) = connect(addr);
-            conn.write_all(query.as_bytes()).unwrap();
-            conn.write_all(b"\n").unwrap();
-            read_response(&mut reader)
-        };
-
+    let (addr, handle) = fixture_server(2);
+    let query = r#"{"id":"last-query","method":"query","params":{"from":0,"to":7,"keywords":["t1","t2"],"budget":10,"algo":"os-scaling"}}"#;
+    // The reference answer, from a calm server.
+    let reference = {
         let (mut conn, mut reader) = connect(addr);
-        conn.write_all(format!("{query}\n{{\"id\":\"bye\",\"method\":\"shutdown\"}}\n").as_bytes())
-            .unwrap();
-        let answered = read_response(&mut reader);
-        assert_eq!(
-            answered,
-            reference,
-            "[{}] the in-flight query must drain with its full answer",
-            io.as_str()
-        );
-        let bye = read_response(&mut reader);
-        assert!(
-            bye.contains("\"stopping\":true"),
-            "[{}] shutdown acknowledged after the drain: {bye}",
-            io.as_str()
-        );
-        drop(conn);
-        // The server actually stops — join() returns instead of hanging.
-        handle.join();
-    }
-}
+        conn.write_all(query.as_bytes()).unwrap();
+        conn.write_all(b"\n").unwrap();
+        read_response(&mut reader)
+    };
 
-#[test]
-fn cross_mode_responses_are_byte_identical() {
-    let (event_addr, event_handle) = fixture_server(IoMode::Event, 3);
-    let (blocking_addr, blocking_handle) = fixture_server(IoMode::Blocking, 3);
-    let lines = canned_lines();
-    let event = one_each(event_addr, &lines);
-    let blocking = one_each(blocking_addr, &lines);
-    assert_eq!(event, blocking, "event vs blocking response bytes");
-    event_handle.shutdown();
-    blocking_handle.shutdown();
+    let (mut conn, mut reader) = connect(addr);
+    conn.write_all(format!("{query}\n{{\"id\":\"bye\",\"method\":\"shutdown\"}}\n").as_bytes())
+        .unwrap();
+    let answered = read_response(&mut reader);
+    assert_eq!(
+        answered, reference,
+        "the in-flight query must drain with its full answer"
+    );
+    let bye = read_response(&mut reader);
+    assert!(
+        bye.contains("\"stopping\":true"),
+        "shutdown acknowledged after the drain: {bye}"
+    );
+    drop(conn);
+    // The server actually stops — join() returns instead of hanging.
+    handle.join();
 }
 
 /// Regression: a request line trickled in many small TCP segments —
-/// with pauses, so every reactor read sees a partial line — must parse
+/// with pauses, so every server read sees a partial line — must parse
 /// identically to the same line arriving whole.
 #[test]
 fn segmented_request_parses_like_single_segment() {
-    for io in [IoMode::Event, IoMode::Blocking] {
-        let (addr, handle) = fixture_server(io, 2);
-        let line = r#"{"id":"seg","method":"query","params":{"from":0,"to":7,"keywords":["t1","t2"],"budget":10,"algo":"os-scaling"}}"#;
+    let (addr, handle) = fixture_server(2);
+    let line = r#"{"id":"seg","method":"query","params":{"from":0,"to":7,"keywords":["t1","t2"],"budget":10,"algo":"os-scaling"}}"#;
 
-        let whole = {
-            let (mut conn, mut reader) = connect(addr);
-            conn.write_all(line.as_bytes()).unwrap();
-            conn.write_all(b"\n").unwrap();
-            read_response(&mut reader)
-        };
-
+    let whole = {
         let (mut conn, mut reader) = connect(addr);
-        for (i, chunk) in line.as_bytes().chunks(3).enumerate() {
-            conn.write_all(chunk).unwrap();
-            conn.flush().unwrap();
-            if i % 8 == 0 {
-                // Long enough that the reactor is guaranteed to have
-                // polled the socket mid-line several times.
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-        std::thread::sleep(Duration::from_millis(5));
+        conn.write_all(line.as_bytes()).unwrap();
         conn.write_all(b"\n").unwrap();
-        let segmented = read_response(&mut reader);
-        assert_eq!(
-            segmented,
-            whole,
-            "[{}] segmented arrival changed the response",
-            io.as_str()
-        );
-        handle.shutdown();
+        read_response(&mut reader)
+    };
+
+    let (mut conn, mut reader) = connect(addr);
+    for (i, chunk) in line.as_bytes().chunks(3).enumerate() {
+        conn.write_all(chunk).unwrap();
+        conn.flush().unwrap();
+        if i % 8 == 0 {
+            // Long enough that the server is guaranteed to have
+            // polled the socket mid-line several times.
+            std::thread::sleep(Duration::from_millis(2));
+        }
     }
+    std::thread::sleep(Duration::from_millis(5));
+    conn.write_all(b"\n").unwrap();
+    let segmented = read_response(&mut reader);
+    assert_eq!(segmented, whole, "segmented arrival changed the response");
+    handle.shutdown();
 }
 
-/// Regression: a single request line larger than the reactor's 16 KiB
+/// Regression: a single request line larger than the server's 16 KiB
 /// scratch read buffer straddles several reads; it must parse (and
 /// answer) identically to the same line sent in one segment, and the
 /// id — however large — must round-trip.
 #[test]
 fn line_straddling_read_buffer_boundary_parses_identically() {
-    for io in [IoMode::Event, IoMode::Blocking] {
-        let (addr, handle) = fixture_server(io, 2);
-        // ~40 KB id: the line cannot fit in one 16 KiB reactor read.
-        let big_id = "x".repeat(40_000);
-        let line = format!(
-            r#"{{"id":"{big_id}","method":"query","params":{{"from":0,"to":7,"keywords":["t1"],"budget":10}}}}"#
-        );
+    let (addr, handle) = fixture_server(2);
+    // ~40 KB id: the line cannot fit in one 16 KiB server read.
+    let big_id = "x".repeat(40_000);
+    let line = format!(
+        r#"{{"id":"{big_id}","method":"query","params":{{"from":0,"to":7,"keywords":["t1"],"budget":10}}}}"#
+    );
 
-        let whole = {
-            let (mut conn, mut reader) = connect(addr);
-            conn.write_all(line.as_bytes()).unwrap();
-            conn.write_all(b"\n").unwrap();
-            read_response(&mut reader)
-        };
-        assert!(whole.contains(&big_id), "id must round-trip");
-        assert!(whole.contains("\"ok\":true"), "{}", &whole[..120]);
-
-        // The same line dribbled in 1000-byte segments with pauses at
-        // scratch-buffer-sized strides.
+    let whole = {
         let (mut conn, mut reader) = connect(addr);
-        for (i, chunk) in line.as_bytes().chunks(1000).enumerate() {
-            conn.write_all(chunk).unwrap();
-            if i % 16 == 0 {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
+        conn.write_all(line.as_bytes()).unwrap();
         conn.write_all(b"\n").unwrap();
-        let segmented = read_response(&mut reader);
-        assert_eq!(
-            segmented,
-            whole,
-            "[{}] buffer-straddling arrival changed the response",
-            io.as_str()
+        read_response(&mut reader)
+    };
+    assert!(whole.contains(&big_id), "id must round-trip");
+    assert!(whole.contains("\"ok\":true"), "{}", &whole[..120]);
+
+    // The same line dribbled in 1000-byte segments with pauses at
+    // scratch-buffer-sized strides.
+    let (mut conn, mut reader) = connect(addr);
+    for (i, chunk) in line.as_bytes().chunks(1000).enumerate() {
+        conn.write_all(chunk).unwrap();
+        if i % 16 == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    conn.write_all(b"\n").unwrap();
+    let segmented = read_response(&mut reader);
+    assert_eq!(
+        segmented, whole,
+        "buffer-straddling arrival changed the response"
+    );
+    handle.shutdown();
+}
+
+/// A burst three times deeper than the per-connection pipeline cap (64
+/// unanswered requests): the reader stops at the cap and resumes as
+/// responses drain, so every request is answered, in order.
+#[test]
+fn pipeline_deeper_than_the_cap_is_answered_in_full() {
+    let (addr, handle) = fixture_server(1);
+    let (mut conn, mut reader) = connect(addr);
+    let burst: String = (0..192)
+        .map(|i| format!("{{\"id\":{i},\"method\":\"health\"}}\n"))
+        .collect();
+    conn.write_all(burst.as_bytes()).unwrap();
+    for i in 0..192 {
+        let resp = read_response(&mut reader);
+        assert!(
+            resp.starts_with(&format!(r#"{{"id":{i},"ok":true"#)),
+            "request {i}: {resp}"
         );
-        handle.shutdown();
+    }
+    handle.shutdown();
+}
+
+/// `ServerHandle::shutdown` with an idle keep-alive connection and a
+/// pipelined burst open: it returns well inside the drain grace, every
+/// admitted request of the burst is answered in order, and then every
+/// connection is closed.
+#[test]
+fn handle_shutdown_answers_an_admitted_burst_and_closes_idle_connections() {
+    // A search that runs to its deadline keeps the burst in flight while
+    // the shutdown starts (see tests/serve_overload.rs for the query).
+    let world = generate_world(&GenConfig::grid(30, 30, 99));
+    let vlen = world.graph.vocab().len();
+    let keywords: Vec<String> = (0..12.min(vlen))
+        .filter_map(|i| {
+            let kw = world
+                .graph
+                .vocab()
+                .resolve(KeywordId((vlen - 1 - i) as u32))?;
+            Some(format!("\"{kw}\""))
+        })
+        .collect();
+    let slow = format!(
+        r#"{{"id":"slow","method":"query","params":{{"dataset":"grid","from":0,"to":{},"keywords":[{}],"budget":150,"algo":"exact","deadline_ms":300}}}}"#,
+        world.graph.node_count() - 1,
+        keywords.join(","),
+    );
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 2,
+        queue_capacity: 4096,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    server
+        .registry()
+        .insert(Dataset::from_graph("grid", world.graph.clone()));
+    let addr = server.local_addr();
+    let handle = server.start();
+
+    // An idle keep-alive connection that has been served once.
+    let (mut idle, mut idle_reader) = connect(addr);
+    idle.write_all(b"{\"method\":\"health\"}\n").unwrap();
+    assert!(read_response(&mut idle_reader).contains("\"ok\":true"));
+
+    // The burst: the slow search, then 20 quick requests behind it.
+    let (mut conn, mut reader) = connect(addr);
+    let mut burst = format!("{slow}\n");
+    for i in 0..20 {
+        burst.push_str(&format!("{{\"id\":{i},\"method\":\"health\"}}\n"));
+    }
+    conn.write_all(burst.as_bytes()).unwrap();
+
+    // Readiness: poll `stats.requests` until the server has admitted all
+    // 21 burst lines (it counts the idle health, the burst and every
+    // poll, this one included).
+    let (mut probe, mut probe_reader) = connect(addr);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    for polls in 1u64.. {
+        probe.write_all(b"{\"method\":\"stats\"}\n").unwrap();
+        let stats = JsonValue::parse(&read_response(&mut probe_reader)).unwrap();
+        let requests = stats
+            .get("result")
+            .and_then(|r| r.get("requests"))
+            .and_then(JsonValue::as_u64)
+            .expect("stats.requests");
+        if requests >= 1 + 21 + polls {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the burst was never admitted");
+        std::thread::yield_now();
+    }
+
+    let started = Instant::now();
+    handle.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+
+    let slow_reply = read_response(&mut reader);
+    assert!(
+        slow_reply.starts_with(r#"{"id":"slow","ok":false"#)
+            && slow_reply.contains("deadline_exceeded"),
+        "{slow_reply}"
+    );
+    for i in 0..20 {
+        let resp = read_response(&mut reader);
+        assert!(
+            resp.starts_with(&format!(r#"{{"id":{i},"ok":true"#)),
+            "request {i}: {resp}"
+        );
+    }
+    for r in [&mut reader, &mut idle_reader, &mut probe_reader] {
+        let mut rest = String::new();
+        assert_eq!(r.read_line(&mut rest).unwrap(), 0, "closed: {rest:?}");
     }
 }
